@@ -53,16 +53,28 @@ class ConjugateValue:
         return self.value
 
 
+class _Offset:
+    """x -> sign*phi(x) - f(x), one point at a time or a batch of points."""
+
+    def __init__(self, f: ProperFunction, phi: Elementary, sign: float):
+        self.f, self.phi, self.sign = f, phi, sign
+
+    def __call__(self, x) -> float:
+        return self.sign * self.phi(x) - self.f(x)
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        return self.sign * self.phi.values(points) - self.f.values(points)
+
+
 def _oracle_sup(f: ProperFunction, phi: Elementary, box: BoxDomain, sign: float,
                 restrict_to_box: bool) -> ConjugateValue:
     """Grid sup of sign*phi - f (sign=+1: right conjugate, -1: left)."""
-    fvals = values_on_grid(f, box)
     grid = box.grid()
-    phivals = sign * np.array([phi(tuple(p)) for p in grid.points])
-    v, p = sup_on_grid(None, grid, values=phivals - fvals)
+    phivals = sign * phi.values(grid.points)
+    v, p = sup_on_grid(None, grid, values=phivals - values_on_grid(f, box))
     if restrict_to_box:
         return ConjugateValue(v, p, GRID_ORACLE)
-    h = lambda x: sign * phi(x) - f(x)
+    h = _Offset(f, phi, sign)
     if p is not None and is_finite(v):
         v, p = refine_extremum(h, box, p, rounds=25, kind="sup")
     if diverges_on_expanding_boxes(h, box, kind="sup"):

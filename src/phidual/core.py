@@ -137,6 +137,11 @@ class BoxDomain:
         )
 
     def grid(self) -> "Grid":
+        """The box lattice; one Grid per box, so its points are built once."""
+        return self._grid
+
+    @cached_property
+    def _grid(self) -> "Grid":
         return Grid(self)
 
 
@@ -148,15 +153,20 @@ class Grid:
 
     @cached_property
     def axes(self) -> list[np.ndarray]:
-        return self.box.axes()
+        axes = self.box.axes()
+        for ax in axes:
+            ax.setflags(write=False)  # shared by every caller of box.grid()
+        return axes
 
     @cached_property
     def points(self) -> np.ndarray:
-        """All grid points as an (N, dim) array in enumeration order."""
+        """All grid points as a read-only (N, dim) array in enumeration order."""
         if self.box.dim == 1:
             return self.axes[0][:, None]
         xs, ys = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.column_stack([xs.ravel(), ys.ravel()])
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        pts.setflags(write=False)
+        return pts
 
     @property
     def size(self) -> int:
@@ -171,6 +181,15 @@ class Grid:
 
 
 def _values_on_grid(h: Callable[[Point], float], grid: Grid) -> np.ndarray:
+    """h at every grid point.
+
+    One call of the batch method `h.values(grid.points)` when h has one
+    (elementary and proper functions, table lookups), which must return what
+    the per-point calls would; any other callable is called once per point.
+    """
+    batch = getattr(h, "values", None)
+    if batch is not None:
+        return np.asarray(batch(grid.points), dtype=float)
     return np.array([h(tuple(row)) for row in grid.points], dtype=float)
 
 
@@ -286,7 +305,7 @@ def diverges_on_expanding_boxes(
     for k in range(rounds + 1):
         b = box if k == 0 else box.scaled(EXPANSION**k)
         grid = b.grid()
-        raw = _values_on_grid(lambda p: sign * h(p), grid)
+        raw = sign * _values_on_grid(h, grid)
         v = float(np.max(raw))
         if v == INF or v > cap:
             return True

@@ -138,6 +138,21 @@ class Elementary:
             raise ValueError(f"point dimension {len(p)} != phi dimension {len(self.v)}")
         return -self.a * norm_sq(p) + dot(self.v, p) + self.c
 
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """phi at every row of an (N, dim) array, bit for bit as `__call__`.
+
+        The sums keep the scalar order (0 + x0*x0 + x1*x1, 0 + v0*x0 + v1*x1),
+        so signed zeros come out as they do point by point.
+        """
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != len(self.v):
+            raise ValueError(f"points of shape {pts.shape} do not match phi dimension {len(self.v)}")
+        sq = dt = 0.0
+        for vk, xk in zip(self.v, pts.T):
+            sq = sq + xk * xk
+            dt = dt + vk * xk
+        return -self.a * sq + dt + self.c
+
     def values_1d(self, xs: np.ndarray) -> np.ndarray:
         return -self.a * xs * xs + self.v[0] * xs + self.c
 
@@ -440,17 +455,25 @@ def pieces(*specs: tuple) -> PiecewiseQuadratic:
 
 @dataclass(frozen=True)
 class TabulatedFunction:
-    """A box plus a deterministic black-box evaluator into (-inf, +inf]."""
+    """A box plus a deterministic black-box evaluator into (-inf, +inf].
+
+    The evaluator is called with a point tuple.  It may also offer a batch
+    method `values(points)` taking an (N, dim) array and returning the N
+    values the per-point calls would return; grid sweeps then make one call
+    instead of N.
+    """
 
     box: BoxDomain
     evaluator: Callable[[Point], float]
     label: str = "h"
 
     def __post_init__(self):
-        vals = [self.evaluator(p) for p in self.box.grid()]
-        if any(v == NEG_INF for v in vals):
+        vals = self.values(self.box.grid().points)
+        if np.any(np.isnan(vals)):
+            raise ValueError("function values must not be NaN")
+        if np.any(vals == NEG_INF):
             raise ValueError("function values must stay above -inf")
-        if not any(is_finite(v) for v in vals):
+        if not np.any(np.isfinite(vals)):
             raise ValueError("empty effective domain on the working grid")
 
     @property
@@ -459,6 +482,13 @@ class TabulatedFunction:
 
     def __call__(self, x) -> float:
         return float(self.evaluator(as_point(x)))
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """Values at every row of an (N, dim) array (see the class docstring)."""
+        batch = getattr(self.evaluator, "values", None)
+        if batch is not None:
+            return np.asarray(batch(points), dtype=float)
+        return np.array([self(p) for p in points], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -490,6 +520,15 @@ class ProperFunction:
             return self.piecewise(p[0])
         return self.tabulated(p)
 
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """Values at every row of an (N, dim) array, as `__call__` per row."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points of shape {pts.shape} do not match function dimension {self.dim}")
+        if self.piecewise is not None:
+            return self.piecewise.values(pts[:, 0])
+        return self.tabulated.values(pts)
+
 
 def evaluate(f: ProperFunction, x) -> float:
     """Evaluate a proper function; values lie in (-inf, +inf]."""
@@ -503,11 +542,7 @@ def proper_piecewise(label: str, *specs: tuple) -> ProperFunction:
 @lru_cache(maxsize=128)
 def values_on_grid(f: ProperFunction, box: BoxDomain) -> np.ndarray:
     """Grid values of f on the box lattice (cached; arrays are read-only)."""
-    grid = box.grid()
-    if f.piecewise is not None:
-        vals = f.piecewise.values(grid.points[:, 0])
-    else:
-        vals = np.array([f(tuple(p)) for p in grid.points], dtype=float)
+    vals = f.values(box.grid().points)
     vals.setflags(write=False)
     return vals
 
@@ -527,6 +562,5 @@ def support_membership(
         v, _ = f.piecewise.inf_plus_quadratic(phi.a, -phi.v[0], -phi.c, box)
         return v >= -tol
     vals = values_on_grid(f, box)
-    pts = box.grid().points
-    phi_vals = np.array([phi(tuple(p)) for p in pts])
+    phi_vals = phi.values(box.grid().points)
     return bool(np.min(vals - phi_vals) >= -tol)

@@ -131,8 +131,8 @@ def check_intersection_direct(
     box grid.
     """
     pts = box.grid().points
-    v1 = np.array([phi1(tuple(p)) for p in pts])
-    v2 = np.array([phi2(tuple(p)) for p in pts])
+    v1 = phi1.values(pts)
+    v2 = phi2.values(pts)
     below1 = v1 < alpha
     below2 = v2 < alpha
     ts = np.linspace(0.0, 1.0, t_grid_size)
@@ -195,8 +195,7 @@ def _inf_lagrangian(inst: ProblemInstance, psi: Elementary) -> float:
     if gstar == INF:
         return NEG_INF
     fv = values_on_grid(inst.f, inst.box)
-    pts = inst.box.grid().points
-    psiv = np.array([psi(tuple(p)) for p in pts])
+    psiv = psi.values(inst.box.grid().points)
     return float(np.min(fv + psiv)) - gstar
 
 

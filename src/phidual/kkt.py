@@ -86,11 +86,25 @@ def _shifted(f: ProperFunction, a: float) -> ProperFunction:
             shift_by_quadratic(f.piecewise, a), f"{f.label}~"
         )
     tab = f.tabulated
+    return ProperFunction.from_tabulated(
+        TabulatedFunction(tab.box, _ShiftedEvaluator(tab, a), f"{f.label}~")
+    )
 
-    def ev(p: Point) -> float:
-        return tab.evaluator(p) - a * sum(c * c for c in p)
 
-    return ProperFunction.from_tabulated(TabulatedFunction(tab.box, ev, f"{f.label}~"))
+class _ShiftedEvaluator:
+    """x -> h(x) - a*||x||^2 for a tabulated h, per point or batched."""
+
+    def __init__(self, tab: TabulatedFunction, a: float):
+        self.tab, self.a = tab, a
+
+    def __call__(self, p: Point) -> float:
+        return self.tab.evaluator(p) - self.a * sum(c * c for c in p)
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        sq = 0.0
+        for xk in np.asarray(points, dtype=float).T:
+            sq = sq + xk * xk
+        return self.tab.values(points) - self.a * sq
 
 
 def _convexity_gaps(inst: ProblemInstance, x_star: Point) -> tuple[float, float]:

@@ -12,10 +12,13 @@ Instance documents are JSON objects with fixed field names:
     }
 
 Infinities are encoded as the strings "+inf" / "-inf" everywhere (JSON has no
-infinities).  Tabulated values follow the box grid enumeration order; the
-evaluator looks up the nearest grid point.  Reports are emitted with sorted
-keys and floats rounded to 12 significant digits, so identical invocations
-produce byte-identical output.
+infinities).  Tabulated values follow the box grid enumeration order and
+are read by `NearestLookup`: a point takes the value of its nearest grid
+point, a coordinate halfway between two grid points takes the lower one, and
+a coordinate outside the box takes the nearest end point (the table extends
+as a constant outside its box).  NaN values are rejected.  Reports are
+emitted with sorted keys and floats rounded to 12 significant digits, so
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -119,18 +122,52 @@ def _parse_phi(doc: dict, dim: int) -> PhiClass:
         raise InstanceFormatError(f"bad phi class: {exc}") from exc
 
 
-def _nearest_lookup(box: BoxDomain, values: np.ndarray):
-    axes = box.axes()
-    shape = tuple(box.samples)
+def _nearest_on_axis(ax: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """First index of the minimum of |ax - c_i| for each c_i (ax ascending).
 
-    def ev(p: Point) -> float:
-        idx = []
-        for c, ax in zip(p, axes):
-            idx.append(int(np.argmin(np.abs(ax - c))))
-        flat = int(np.ravel_multi_index(tuple(idx), shape))
-        return float(values[flat])
+    Along a sorted axis the float distances fall and then rise, so the
+    nearest point is one of the two neighbours of c_i's insertion point, the
+    lower one on a tie.  Where rounding makes the lower neighbour's distance
+    repeat further down the axis (c_i far outside the axis, infinite or NaN),
+    the first index with that distance is found by a scan of the axis.
+    """
+    hi = np.searchsorted(ax, c)  # first index with ax[i] >= c_i
+    lo = np.maximum(hi - 1, 0)
+    s_lo = ax[lo] - c
+    take_lo = (hi > 0) & (np.abs(s_lo) <= np.abs(ax[np.minimum(hi, len(ax) - 1)] - c))
+    k = np.where(take_lo, lo, hi)
+    rescan = (take_lo & (lo > 0) & (ax[lo - 1] - c == s_lo)) | np.isnan(c)
+    for i in np.flatnonzero(rescan):
+        k[i] = np.argmin(np.abs(ax - c[i]))
+    return k
 
-    return ev
+
+class NearestLookup:
+    """Evaluator of a table given at the grid points of a box.
+
+    A point takes the value of its nearest grid point, axis by axis; a
+    coordinate exactly halfway between two axis points takes the lower one,
+    and a coordinate outside the box takes the nearest end point, so the
+    table extends as a constant outside the box.  `values(points)` looks up
+    a whole (N, dim) array at once.
+    """
+
+    def __init__(self, box: BoxDomain, table: np.ndarray):
+        self.axes = box.axes()
+        self.shape = tuple(box.samples)
+        self.table = table
+
+    def index(self, points: np.ndarray) -> np.ndarray:
+        """Flat table index of every row of an (N, dim) array."""
+        pts = np.asarray(points, dtype=float)
+        idx = tuple(_nearest_on_axis(ax, pts[:, k]) for k, ax in enumerate(self.axes))
+        return np.ravel_multi_index(idx, self.shape)
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        return self.table[self.index(points)]
+
+    def __call__(self, p: Point) -> float:
+        return float(self.values(np.array([p], dtype=float))[0])
 
 
 def _parse_function(doc: dict, box: BoxDomain, fallback_label: str) -> ProperFunction:
@@ -171,7 +208,7 @@ def _parse_function(doc: dict, box: BoxDomain, fallback_label: str) -> ProperFun
             )
         values = np.array([ext_from_json(v) for v in raw], dtype=float)
         try:
-            tab = TabulatedFunction(box, _nearest_lookup(box, values), label)
+            tab = TabulatedFunction(box, NearestLookup(box, values), label)
         except ValueError as exc:
             raise InstanceFormatError(str(exc)) from exc
         return ProperFunction.from_tabulated(tab)

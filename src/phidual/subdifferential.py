@@ -90,11 +90,7 @@ def is_eps_subgradient(
         )
     else:
         grid = box.grid()
-        vals = (
-            np.array([phi(tuple(p)) for p in grid.points])
-            - values_on_grid(f, box)
-            + shift
-        )
+        vals = phi.values(grid.points) - values_on_grid(f, box) + shift
         i = int(np.argmax(vals))
         worst = float(vals[i])
         wit = None if worst == NEG_INF else grid.point(i)

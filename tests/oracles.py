@@ -36,6 +36,16 @@ def dense_inf(h, lo, hi, n=200001):
     return -v, x
 
 
+def argmin_lookup_index(box: BoxDomain, p) -> int:
+    """Flat table index of the nearest grid point by a full scan of each axis.
+
+    The per-point lookup that tabulated instances used before the batched one:
+    np.argmin keeps the first index on ties and the end points outside the box.
+    """
+    idx = tuple(int(np.argmin(np.abs(ax - c))) for c, ax in zip(p, box.axes()))
+    return int(np.ravel_multi_index(idx, tuple(box.samples)))
+
+
 def box1d(lo=-10.0, hi=10.0, n=2001) -> BoxDomain:
     return BoxDomain((lo,), (hi,), (n,))
 

@@ -104,6 +104,14 @@ def test_cli_dual_report_bad_instance_exits_1(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_cli_rejects_nan_in_table(tmp_path, capsys):
+    table = [0.0] * 2001
+    table[7] = math.nan  # json.dumps writes the NaN literal json.loads accepts
+    doc = dict(INSTANCE_DOC, g={"type": "tabulated", "table": {"values": table}})
+    assert main(["dual-report", "--instance", _write_instance(tmp_path, doc)]) == 1
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_cli_dual_report_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["dual-report", "--catalog", "kkt-example", "--out", str(a)])
