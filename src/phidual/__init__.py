@@ -27,10 +27,8 @@ from .functions import (
     QuadraticPiece,
     TabulatedFunction,
     UnsupportedClassError,
-    evaluate,
     pieces,
     proper_piecewise,
-    shift_by_quadratic,
     support_membership,
 )
 from .conjugation import (
@@ -59,7 +57,6 @@ from .duality import (
     perturbation,
     perturbation_conjugate_direct,
     perturbation_conjugate_zero,
-    val_cd,
     val_cd_sym,
     val_icd,
     val_lagrangian_dual,

@@ -5,12 +5,12 @@ For phi(x) = -a*||x||^2 + <v, x> + c the two one-sided transforms are
     right:  f*(phi)  = sup_x  phi(x) - f(x)
     left:   *f(phi)  = sup_x -f(x) - phi(x)
 
-computed exactly for piecewise quadratics (per-piece vertex clamping, with
-analytic +inf detection on unbounded pieces) and by grid oracle with an
-expanding-box divergence sentinel for tabulated functions.  By default the
-sup runs over the function's own conceptual domain; `restrict_to_box=True`
-limits the quantifier to the working box, which is what the subgradient-side
-tests use.
+Each is one call of the function's `sup_quadratic_offset` with the quadratic
+phi (right) or -phi (left): exact for piecewise quadratics, a grid oracle
+with an expanding-box divergence sentinel for tabulated functions (see
+`functions`).  By default the sup runs over the function's own conceptual
+domain; `restrict_to_box=True` limits the quantifier to the working box,
+which is what the subgradient-side tests use.
 """
 
 from __future__ import annotations
@@ -21,24 +21,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import (
-    INF,
-    NEG_INF,
-    BoxDomain,
-    Point,
-    as_point,
-    diverges_on_expanding_boxes,
-    ext_add,
-    is_finite,
-    refine_extremum,
-    sup_on_grid,
+from .core import INF, NEG_INF, ROW_CHUNK, BoxDomain, Point, as_point, ext_add, is_finite
+from .functions import (
+    Elementary,
+    PhiClass,
+    ProperFunction,
+    quadratic_rows,
+    values_on_grid,
 )
-from .functions import Elementary, PhiClass, ProperFunction, values_on_grid
-
-CLOSED_FORM = "closed-form"
-GRID_ORACLE = "grid-oracle"
-
-_PARAM_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -53,35 +43,15 @@ class ConjugateValue:
         return self.value
 
 
-class _Offset:
-    """x -> sign*phi(x) - f(x), one point at a time or a batch of points."""
-
-    def __init__(self, f: ProperFunction, phi: Elementary, sign: float):
-        self.f, self.phi, self.sign = f, phi, sign
-
-    def __call__(self, x) -> float:
-        return self.sign * self.phi(x) - self.f(x)
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        return self.sign * self.phi.values(points) - self.f.values(points)
-
-
-def _oracle_sup(f: ProperFunction, phi: Elementary, box: BoxDomain, sign: float,
-                restrict_to_box: bool) -> ConjugateValue:
-    """Grid sup of sign*phi - f (sign=+1: right conjugate, -1: left)."""
-    grid = box.grid()
-    phivals = sign * phi.values(grid.points)
-    v, p = sup_on_grid(None, grid, values=phivals - values_on_grid(f, box))
-    if restrict_to_box:
-        return ConjugateValue(v, p, GRID_ORACLE)
-    h = _Offset(f, phi, sign)
-    if p is not None and is_finite(v):
-        v, p = refine_extremum(h, box, p, rounds=25, kind="sup")
-    if diverges_on_expanding_boxes(h, box, kind="sup"):
-        return ConjugateValue(INF, None, GRID_ORACLE)
-    if v == INF or v == NEG_INF:
-        p = None
-    return ConjugateValue(v, p, GRID_ORACLE)
+def _sup_offset(
+    f: ProperFunction, phi: Elementary, sign: float, box: BoxDomain, restrict: bool
+) -> ConjugateValue:
+    """sup of sign*phi - f (sign=+1: right conjugate, -1: left)."""
+    if phi.dim != f.dim:
+        raise ValueError("dimension mismatch between phi and f")
+    qb = tuple(sign * vi for vi in phi.v)
+    v, p = f.sup_quadratic_offset(-sign * phi.a, qb, sign * phi.c, box, restrict)
+    return ConjugateValue(v, p if is_finite(v) else None, f.method)
 
 
 def phi_conjugate(
@@ -91,14 +61,7 @@ def phi_conjugate(
     restrict_to_box: bool = False,
 ) -> ConjugateValue:
     """f*(phi) = sup (phi - f)."""
-    if phi.dim != f.dim:
-        raise ValueError("dimension mismatch between phi and f")
-    if f.piecewise is not None:
-        v, p = f.piecewise.sup_quadratic_offset(
-            -phi.a, phi.v[0], phi.c, box if restrict_to_box else None
-        )
-        return ConjugateValue(v, p if is_finite(v) else None, CLOSED_FORM)
-    return _oracle_sup(f, phi, box, +1.0, restrict_to_box)
+    return _sup_offset(f, phi, +1.0, box, restrict_to_box)
 
 
 def left_conjugate(
@@ -108,14 +71,7 @@ def left_conjugate(
     restrict_to_box: bool = False,
 ) -> ConjugateValue:
     """*f(phi) = sup (-f - phi); equals f*(-phi) whenever -phi stays in the class."""
-    if phi.dim != f.dim:
-        raise ValueError("dimension mismatch between phi and f")
-    if f.piecewise is not None:
-        v, p = f.piecewise.sup_quadratic_offset(
-            phi.a, -phi.v[0], -phi.c, box if restrict_to_box else None
-        )
-        return ConjugateValue(v, p if is_finite(v) else None, CLOSED_FORM)
-    return _oracle_sup(f, phi, box, -1.0, restrict_to_box)
+    return _sup_offset(f, phi, -1.0, box, restrict_to_box)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +92,6 @@ class ConjugateTable:
         return np.isfinite(self.values)
 
 
-def _split_params(phi_class: PhiClass, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """-> (a, v) arrays with shapes (N,) and (N, dim)."""
-    n = params.shape[0]
-    if phi_class.kind == "lsc-quadratic":
-        return params[:, 0], params[:, 1:]
-    if phi_class.kind == "affine":
-        return np.zeros(n), params
-    return np.zeros(n), np.zeros((n, phi_class.dim))
-
-
 def conjugates_at_params(
     f: ProperFunction,
     phi_class: PhiClass,
@@ -154,23 +100,9 @@ def conjugates_at_params(
     side: str = "right",
 ) -> np.ndarray:
     """Conjugate values of f at every parameter row (c = 0)."""
-    a, v = _split_params(phi_class, params)
-    if f.piecewise is not None:
-        if side == "right":
-            return f.piecewise.sup_quadratic_offset_many(-a, v[:, 0], 0.0)
-        return f.piecewise.sup_quadratic_offset_many(a, -v[:, 0], 0.0)
-    pts = box.grid().points  # (M, dim)
-    fvals = values_on_grid(f, box)
-    sq = np.sum(pts * pts, axis=1)
-    out = np.empty(params.shape[0])
-    for i in range(0, params.shape[0], _PARAM_CHUNK):
-        sl = slice(i, i + _PARAM_CHUNK)
-        phival = -np.outer(a[sl], sq) + v[sl] @ pts.T
-        if side == "right":
-            out[sl] = np.max(phival - fvals[None, :], axis=1)
-        else:
-            out[sl] = np.max(-phival - fvals[None, :], axis=1)
-    return out
+    a, v = phi_class.split_params(params)
+    sign = 1.0 if side == "right" else -1.0
+    return f.sup_quadratic_offset_many(-sign * a, sign * v, 0.0, box, restrict=False)
 
 
 @lru_cache(maxsize=64)
@@ -179,9 +111,8 @@ def conjugate_table(
 ) -> ConjugateTable:
     params = phi_class.param_grid()
     values = conjugates_at_params(f, phi_class, box, params, side)
-    method = CLOSED_FORM if f.piecewise is not None else GRID_ORACLE
     values.setflags(write=False)
-    return ConjugateTable(params, values, side, method)
+    return ConjugateTable(params, values, side, f.method)
 
 
 def conjugate_at(
@@ -233,6 +164,43 @@ def refine_in_params(
 # ---------------------------------------------------------------------------
 
 
+def searched_family(
+    f: ProperFunction,
+    phi_class: PhiClass,
+    box: BoxDomain,
+    extra_phis: Iterable[Elementary] = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, v, f*) of the searched elementaries: the conjugate table rows
+    followed by `extra_phis` (c = 0)."""
+    table = conjugate_table(f, phi_class, box, "right")
+    params, values = table.params, table.values
+    extras = [phi_class.require_member(p) for p in extra_phis]
+    if extras:
+        eparams = np.array(
+            [phi_class.params_of(p) for p in extras], dtype=float
+        ).reshape(len(extras), phi_class.n_params)
+        evalues = conjugates_at_params(f, phi_class, box, eparams, "right")
+        params = np.vstack([params, eparams])
+        values = np.concatenate([values, evalues])
+    a, v = phi_class.split_params(params)
+    return a, v, values
+
+
+def _minorant_scores(family, points: np.ndarray) -> np.ndarray:
+    """phi(x) - f*(phi), one row per family member, one column per point."""
+    a, v, fstar = family
+    return quadratic_rows(-a, v, points) - fstar[:, None]
+
+
+def biconjugate_at_points(family, points: np.ndarray) -> np.ndarray:
+    """f** restricted to a `searched_family`, at every row of an (N, dim) array."""
+    out = np.full(points.shape[0], NEG_INF)
+    for i in range(0, len(family[2]), ROW_CHUNK):
+        rows = tuple(part[i : i + ROW_CHUNK] for part in family)
+        out = np.maximum(out, np.max(_minorant_scores(rows, points), axis=0))
+    return out
+
+
 def biconjugate(
     f: ProperFunction,
     x,
@@ -247,10 +215,7 @@ def biconjugate(
     conjugate (no elementary minorant found in the truncated family).
     """
     x = as_point(x)
-    table = conjugate_table(f, phi_class, box, "right")
-    a, v = _split_params(phi_class, table.params)
-    sq = sum(c * c for c in x)
-    scores = -a * sq + v @ np.asarray(x) - table.values
+    scores = _minorant_scores(searched_family(f, phi_class, box), np.asarray([x]))[:, 0]
     i = int(np.argmax(scores))
     if scores[i] == NEG_INF:
         return NEG_INF
@@ -261,7 +226,8 @@ def biconjugate(
         phi = phi_class.member(params)
         return phi(x) - conjugate_at(f, phi_class, box, params, "right")
 
-    val, _ = refine_in_params(objective, phi_class, tuple(table.params[i]))
+    seed = tuple(conjugate_table(f, phi_class, box, "right").params[i])
+    val, _ = refine_in_params(objective, phi_class, seed)
     return max(float(scores[i]), val)
 
 
@@ -276,26 +242,8 @@ def biconjugate_on_grid(
     `extra_phis` join the searched family (used to keep value chains coherent
     when a refined dual winner leaves the coarse parameter grid).
     """
-    table = conjugate_table(f, phi_class, box, "right")
-    params = table.params
-    values = table.values
-    extras = [phi_class.require_member(p) for p in extra_phis]
-    if extras:
-        eparams = np.array(
-            [phi_class.params_of(p) for p in extras], dtype=float
-        ).reshape(len(extras), phi_class.n_params)
-        evalues = conjugates_at_params(f, phi_class, box, eparams, "right")
-        params = np.vstack([params, eparams])
-        values = np.concatenate([values, evalues])
-    a, v = _split_params(phi_class, params)
-    pts = box.grid().points
-    sq = np.sum(pts * pts, axis=1)
-    out = np.full(pts.shape[0], NEG_INF)
-    for i in range(0, params.shape[0], _PARAM_CHUNK):
-        sl = slice(i, i + _PARAM_CHUNK)
-        scores = -np.outer(a[sl], sq) + v[sl] @ pts.T - values[sl, None]
-        out = np.maximum(out, np.max(scores, axis=0))
-    return out
+    family = searched_family(f, phi_class, box, extra_phis)
+    return biconjugate_at_points(family, box.grid().points)
 
 
 def fenchel_moreau_check(
@@ -316,5 +264,5 @@ def biconjugate_leq_f(
 ) -> bool:
     """f** <= f at every grid point (up to tol)."""
     bic = biconjugate_on_grid(f, phi_class, box)
-    fv = values_on_grid(f, box)
+    fv = values_on_grid(f.rep, box)
     return bool(np.all(bic <= fv + tol))

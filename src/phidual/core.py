@@ -29,6 +29,8 @@ UNBOUNDED_CAP = 1e12
 GROWTH_FACTOR = 10.0
 #: box expansion per divergence-scan round (catches linear and faster growth)
 EXPANSION = 16.0
+#: rows per block when a (parameter rows x grid points) matrix is evaluated
+ROW_CHUNK = 512
 
 
 def is_finite(x: float) -> bool:

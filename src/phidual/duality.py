@@ -40,16 +40,18 @@ from .core import (
     refine_extremum,
 )
 from .conjugation import (
-    CLOSED_FORM,
-    GRID_ORACLE,
+    biconjugate_at_points,
     biconjugate_on_grid,
     conjugate_table,
     conjugates_at_params,
     left_conjugate,
     phi_conjugate,
     refine_in_params,
+    searched_family,
 )
 from .functions import (
+    CLOSED_FORM,
+    GRID_ORACLE,
     Elementary,
     PhiClass,
     ProperFunction,
@@ -74,10 +76,17 @@ class ProblemInstance:
         if not np.any(np.isfinite(objective_values(self.f, self.g, self.box))):
             raise ValueError("dom(f) and dom(g) do not meet on the working grid")
 
+    @property
+    def method(self) -> str:
+        """Closed form when f and g both are; a grid oracle otherwise."""
+        if self.f.method == self.g.method == CLOSED_FORM:
+            return CLOSED_FORM
+        return GRID_ORACLE
+
 
 @lru_cache(maxsize=128)
 def objective_values(f: ProperFunction, g: ProperFunction, box: BoxDomain) -> np.ndarray:
-    vals = values_on_grid(f, box) + values_on_grid(g, box)
+    vals = values_on_grid(f.rep, box) + values_on_grid(g.rep, box)
     vals.setflags(write=False)
     return vals
 
@@ -154,44 +163,21 @@ def lagrangian(inst: ProblemInstance, x, phi: Elementary) -> float:
     return inst.f(x) + phi(as_point(x)) - gstar
 
 
-def lagrangian_piecewise(inst: ProblemInstance, phi: Elementary):
-    """L(., phi) as a PiecewiseQuadratic when f is piecewise; None otherwise."""
-    if inst.f.piecewise is None:
-        return None
-    gstar = phi_conjugate(inst.g, phi, inst.box).value
-    if gstar == INF:
-        return None
-    from .functions import PiecewiseQuadratic, QuadraticPiece
-
-    return PiecewiseQuadratic(
-        tuple(
-            QuadraticPiece(
-                p.lo, p.hi, p.a2 - phi.a, p.a1 + phi.v[0], p.a0 + phi.c - gstar
-            )
-            for p in inst.f.piecewise.pieces
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # optimal values
 # ---------------------------------------------------------------------------
 
 
-def _exact_path(inst: ProblemInstance) -> bool:
-    return inst.f.piecewise is not None and inst.g.piecewise is not None
-
-
 def val_primal(inst: ProblemInstance) -> tuple[float, Optional[Point]]:
     """inf of f + g on the grid, refined around the first minimizer.
 
-    Off-grid refinement only applies on the exact piecewise path: a tabulated
+    Off-grid refinement only applies on the closed-form path: a tabulated
     member pins every quantifier of the instance to the grid, keeping primal
     and dual values comparable.
     """
     vals = objective_values(inst.f, inst.g, inst.box)
     h = lambda p: inst.f(p) + inst.g(p)
-    rounds = 25 if _exact_path(inst) else 0
+    rounds = 25 if inst.method == CLOSED_FORM else 0
     return extremum_on_box(h, inst.box, kind="inf", values=vals, rounds=rounds)
 
 
@@ -237,11 +223,6 @@ def val_lagrangian_dual(
     return float(d[i]), inst.phi.member(tuple(params[i]))
 
 
-def val_cd(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
-    """The conjugate dual; identical computation to `val_lagrangian_dual`."""
-    return val_lagrangian_dual(inst)
-
-
 def _affine_subclass(phi_class: PhiClass) -> PhiClass:
     if phi_class.kind == "constant-only":
         return phi_class
@@ -259,10 +240,9 @@ def _affine_subclass(phi_class: PhiClass) -> PhiClass:
     )
 
 
-def _symmetric_pair_sweep(
-    inst: ProblemInstance, refine_rounds: int = 20
-) -> tuple[float, Optional[Elementary]]:
-    """sup of -f*(-phi) - g*(phi) over {phi : -phi in class}.
+def val_cd_sym(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
+    """The symmetric-form conjugate dual: sup of -f*(-phi) - g*(phi) over
+    {phi : -phi in class}.
 
     For the lsc-quadratic kind the constraint a >= 0 on both phi and -phi
     forces a = 0, so the sweep always runs over the affine subfamily.
@@ -284,15 +264,10 @@ def _symmetric_pair_sweep(
         gv = conjugates_at_params(inst.g, sub, inst.box, arr, "right")[0]
         return NEG_INF if (fv == INF or gv == INF) else -fv - gv
 
-    val, p = refine_in_params(objective, sub, tuple(params[i]), refine_rounds)
+    val, p = refine_in_params(objective, sub, tuple(params[i]), 20)
     if val > float(d[i]):
         return val, sub.member(p)
     return float(d[i]), sub.member(tuple(params[i]))
-
-
-def val_cd_sym(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
-    """The symmetric-form conjugate dual: max of -f*(-phi) - g*(phi)."""
-    return _symmetric_pair_sweep(inst)
 
 
 def val_icd(
@@ -308,34 +283,10 @@ def val_icd(
         raise UnsupportedClassError(
             "the infimal-convolution dual needs 0 in the class and additivity"
         )
-    val, phi1 = _symmetric_pair_sweep(inst)
+    val, phi1 = val_cd_sym(inst)
     if phi1 is None:
         return val, None
     return val, (phi1, phi1.negated())
-
-
-def _biconjugate_at_points(
-    inst: ProblemInstance, pts: np.ndarray, extra_phis: tuple[Elementary, ...]
-) -> np.ndarray:
-    """g** restricted to the searched family, at arbitrary points."""
-    table = conjugate_table(inst.g, inst.phi, inst.box, "right")
-    params, values = table.params, table.values
-    if extra_phis:
-        ep = np.array(
-            [inst.phi.params_of(p) for p in extra_phis], dtype=float
-        ).reshape(len(extra_phis), inst.phi.n_params)
-        ev = conjugates_at_params(inst.g, inst.phi, inst.box, ep, "right")
-        params = np.vstack([params, ep])
-        values = np.concatenate([values, ev])
-    if inst.phi.kind == "lsc-quadratic":
-        a, v = params[:, 0], params[:, 1:]
-    elif inst.phi.kind == "affine":
-        a, v = np.zeros(params.shape[0]), params
-    else:
-        a, v = np.zeros(params.shape[0]), np.zeros((params.shape[0], inst.phi.dim))
-    sq = np.sum(pts * pts, axis=1)
-    scores = -np.outer(a, sq) + v @ pts.T - values[:, None]
-    return np.max(scores, axis=0)
 
 
 def _lagrangian_primal_search(
@@ -350,21 +301,21 @@ def _lagrangian_primal_search(
     bic = biconjugate_on_grid(inst.g, inst.phi, inst.box, extra_phis)
     if np.all(bic == NEG_INF):
         return NEG_INF, None
-    bic = np.minimum(bic, values_on_grid(inst.g, inst.box))
-    fv = values_on_grid(inst.f, inst.box)
-    grid = inst.box.grid()
-    v, p = inf_on_grid(None, grid, values=fv + bic)
+    bic = np.minimum(bic, values_on_grid(inst.g.rep, inst.box))
+    fv = values_on_grid(inst.f.rep, inst.box)
+    v, p = inf_on_grid(None, inst.box.grid(), values=fv + bic)
     if p is None:
         return v, p
+    family = searched_family(inst.g, inst.phi, inst.box, extra_phis)
 
     def m(x: Point) -> float:
         fx = inst.f(x)
         if fx == INF:
             return INF
-        b = float(_biconjugate_at_points(inst, np.asarray([x]), extra_phis)[0])
+        b = float(biconjugate_at_points(family, np.asarray([x]))[0])
         return fx + min(b, inst.g(x))
 
-    if _exact_path(inst):
+    if inst.method == CLOSED_FORM:
         v, p = refine_extremum(m, inst.box, p, refine_rounds, kind="inf")
     for q in extra_points:
         mq = m(as_point(q))
@@ -495,7 +446,6 @@ def duality_chain_report(inst: ProblemInstance, tol: float = 1e-6) -> DualityRep
     if abs(v_ld - v_cd) > tol:
         violations.append("val_LD != val_CD")
 
-    method = CLOSED_FORM if (inst.f.piecewise is not None and inst.g.piecewise is not None) else GRID_ORACLE
     gaps = {
         "cd": v_p - v_cd if is_finite(v_cd) else INF,
         "icd": v_p - v_icd if is_finite(v_icd) else INF,
@@ -517,7 +467,7 @@ def duality_chain_report(inst: ProblemInstance, tol: float = 1e-6) -> DualityRep
         gaps=gaps,
         chain_ok=not violations,
         violations=violations,
-        methods={name: method for name in _CHAIN},
+        methods={name: inst.method for name in _CHAIN},
         truncation=truncation,
         notes=[
             "dual values are lower bounds of the untruncated sup over the class",

@@ -1,13 +1,21 @@
 """Proper objective functions and elementary minorant classes.
 
-Two function representations are supported:
+A :class:`ProperFunction` forwards every operation to one representation,
+and both representations offer the same small interface:
 
-* :class:`PiecewiseQuadratic` -- an exact 1D proper function given by finitely
-  many quadratic pieces on intervals (+inf outside their union).  All sups and
-  infs of (quadratic - piece) reduce to vertex clamping on intervals, which is
-  what makes conjugates and subgradient checks exact on this representation.
-* :class:`TabulatedFunction` -- a black-box evaluator over a box, handled by
-  grid oracles.
+* ``dim`` and ``method`` (``CLOSED_FORM`` or ``GRID_ORACLE``);
+* ``values(points)`` on an (N, dim) array;
+* ``sup_quadratic_offset(qa, qb, qc, box, restrict)``, the sup of
+  ``qa*|x|^2 + <qb, x> + qc - f(x)`` over the box or the whole space, and
+  ``sup_quadratic_offset_many`` over parameter rows (for tables these rows
+  are grid maxima on the box, with or without ``restrict``);
+* ``shifted(a)``, the function ``f - a*|x|^2``.
+
+Conjugates, subgradient tests and Lagrangian slices are all such sups.
+:class:`PiecewiseQuadratic` (1D, finitely many quadratic pieces, +inf
+outside their union) computes them exactly by vertex clamping;
+:class:`TabulatedFunction` (a black-box evaluator over a box) by grid
+oracles.
 
 Elementary functions are x |-> -a*||x||^2 + <v, x> + c with a >= 0; a = 0
 gives the affine class.  :class:`PhiClass` is a truncated, searchable
@@ -19,11 +27,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import INF, NEG_INF, BoxDomain, Point, as_point, dot, is_finite, norm_sq
+from .core import (
+    INF,
+    NEG_INF,
+    ROW_CHUNK,
+    BoxDomain,
+    Point,
+    as_point,
+    diverges_on_expanding_boxes,
+    dot,
+    is_finite,
+    norm_sq,
+    refine_extremum,
+    sup_on_grid,
+)
+
+CLOSED_FORM = "closed-form"
+GRID_ORACLE = "grid-oracle"
 
 
 class UnsupportedClassError(ValueError):
@@ -102,6 +126,35 @@ def quad_sup_on_interval_many(
     return np.where(unbounded, INF, vals)
 
 
+def _squares(points: np.ndarray):
+    """|x|^2 of every row of an (N, dim) array, summed from 0.0 in coordinate order."""
+    sq = 0.0
+    for xk in points.T:
+        sq = sq + xk * xk
+    return sq
+
+
+def _dots(v, points: np.ndarray):
+    """<v, x> of every row of an (N, dim) array, summed from 0.0 in coordinate order."""
+    dt = 0.0
+    for vk, xk in zip(v, points.T):
+        dt = dt + vk * xk
+    return dt
+
+
+def quadratic_rows(qa: np.ndarray, qb: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """qa*|x|^2 + <qb, x> with one row per row of (qa (N,), qb (N, dim)) and
+    one column per row of the (M, dim) points.
+
+    Products and sums are elementwise in coordinate order, so every entry
+    is the same whichever rows or points share the call.
+    """
+    dt = np.outer(qb[:, 0], points[:, 0])
+    for k in range(1, points.shape[1]):
+        dt = dt + np.outer(qb[:, k], points[:, k])
+    return np.outer(qa, _squares(points)) + dt
+
+
 # ---------------------------------------------------------------------------
 # elementary functions and their classes
 # ---------------------------------------------------------------------------
@@ -147,14 +200,7 @@ class Elementary:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != len(self.v):
             raise ValueError(f"points of shape {pts.shape} do not match phi dimension {len(self.v)}")
-        sq = dt = 0.0
-        for vk, xk in zip(self.v, pts.T):
-            sq = sq + xk * xk
-            dt = dt + vk * xk
-        return -self.a * sq + dt + self.c
-
-    def values_1d(self, xs: np.ndarray) -> np.ndarray:
-        return -self.a * xs * xs + self.v[0] * xs + self.c
+        return -self.a * _squares(pts) + _dots(self.v, pts) + self.c
 
     def negated(self) -> "Elementary":
         """-phi; representable only in the affine case (a must stay >= 0)."""
@@ -248,6 +294,15 @@ class PhiClass:
             return np.zeros((1, 0))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
+
+    def split_params(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Parameter rows -> (a, v) arrays of shapes (N,) and (N, dim)."""
+        n = params.shape[0]
+        if self.kind == "lsc-quadratic":
+            return params[:, 0], params[:, 1:]
+        if self.kind == "affine":
+            return np.zeros(n), params
+        return np.zeros(n), np.zeros((n, self.dim))
 
     def symmetric_param_axes(self) -> list[np.ndarray]:
         """Axes of the symmetric subclass {phi : -phi in class} (forces a = 0)."""
@@ -344,10 +399,14 @@ class PiecewiseQuadratic:
 
     Pieces are sorted and disjoint up to shared endpoints; at a shared
     endpoint the function takes the minimum of the adjacent piece values
-    (lower-semicontinuous selection).
+    (lower-semicontinuous selection).  Every sup of (quadratic - piece)
+    reduces to vertex clamping on an interval, so all results are exact.
     """
 
     pieces: tuple[QuadraticPiece, ...]
+
+    method = CLOSED_FORM
+    dim = 1
 
     def __post_init__(self):
         ps = tuple(self.pieces)
@@ -358,33 +417,49 @@ class PiecewiseQuadratic:
             if p.hi > q.lo:
                 raise ValueError("pieces must be sorted and non-overlapping")
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x) -> float:
+        try:  # a one-coordinate point
+            (x,) = x
+        except TypeError:  # a plain coordinate (Python or numpy scalar)
+            pass
         val = INF
         for p in self.pieces:
             if p.lo <= x <= p.hi:
                 val = min(val, p.poly(x))
         return val
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """Values at an (N, 1) array of points (or at N plain coordinates)."""
+        xs = np.asarray(points, dtype=float).reshape(-1)
         out = np.full(xs.shape, INF)
         for p in self.pieces:
             m = (xs >= p.lo) & (xs <= p.hi)
             out[m] = np.minimum(out[m], (p.a2 * xs[m] + p.a1) * xs[m] + p.a0)
         return out
 
+    def _interval(self, box: Optional[BoxDomain], restrict: bool) -> tuple[float, float]:
+        if box is None or not restrict:
+            return NEG_INF, INF
+        return box.lower[0], box.upper[0]
+
     def sup_quadratic_offset(
         self,
         qa: float,
-        qb: float,
+        qb,
         qc: float,
         box: Optional[BoxDomain] = None,
+        restrict: bool = True,
     ) -> tuple[float, Optional[Point]]:
-        """sup of (qa*x^2 + qb*x + qc) - f(x), optionally restricted to the box.
+        """sup of (qa*x^2 + qb*x + qc) - f(x) and an attaining point.
 
-        Exact per piece via vertex clamping; +inf is detected analytically on
-        unbounded pieces.
+        The sup runs over the box when `restrict` (and a box is given), over
+        the whole line otherwise.  Exact per piece via vertex clamping; +inf
+        is detected analytically on unbounded pieces.  `qb` is a number or a
+        one-coordinate point.
         """
-        blo, bhi = (box.lower[0], box.upper[0]) if box is not None else (NEG_INF, INF)
+        if not np.isscalar(qb):
+            (qb,) = qb
+        blo, bhi = self._interval(box, restrict)
         best_v, best_x = NEG_INF, None
         for p in self.pieces:
             lo, hi = max(p.lo, blo), min(p.hi, bhi)
@@ -412,11 +487,18 @@ class PiecewiseQuadratic:
         qb: np.ndarray,
         qc,
         box: Optional[BoxDomain] = None,
+        restrict: bool = True,
     ) -> np.ndarray:
-        """Vectorized `sup_quadratic_offset` over coefficient arrays."""
-        blo, bhi = (box.lower[0], box.upper[0]) if box is not None else (NEG_INF, INF)
-        out = np.full(np.shape(qa), NEG_INF)
+        """`sup_quadratic_offset` values at every row of (qa, qb, qc).
+
+        `qb` has one entry (or one one-coordinate row) per entry of `qa`;
+        `qc` is a number or one entry per row.
+        """
+        qa = np.asarray(qa, dtype=float)
+        qb = np.asarray(qb, dtype=float).reshape(qa.shape)
         qc = np.asarray(qc, dtype=float)
+        blo, bhi = self._interval(box, restrict)
+        out = np.full(qa.shape, NEG_INF)
         for p in self.pieces:
             lo, hi = max(p.lo, blo), min(p.hi, bhi)
             if lo > hi:
@@ -428,19 +510,14 @@ class PiecewiseQuadratic:
         return out
 
     def shifted(self, a: float) -> "PiecewiseQuadratic":
-        """f(x) - a*x^2 with identical intervals (see `shift_by_quadratic`)."""
+        """f(x) - a*x^2, a >= 0, on identical intervals (only a2 moves)."""
+        if a < 0:
+            raise ValueError("shift coefficient a must be >= 0")
         return PiecewiseQuadratic(
             tuple(
                 QuadraticPiece(p.lo, p.hi, p.a2 - a, p.a1, p.a0) for p in self.pieces
             )
         )
-
-
-def shift_by_quadratic(f: PiecewiseQuadratic, a: float) -> PiecewiseQuadratic:
-    """The quadratically shifted function f~(x) = f(x) - a*x^2, a >= 0."""
-    if a < 0:
-        raise ValueError("shift coefficient a must be >= 0")
-    return f.shifted(a)
 
 
 def pieces(*specs: tuple) -> PiecewiseQuadratic:
@@ -453,6 +530,23 @@ def pieces(*specs: tuple) -> PiecewiseQuadratic:
 # ---------------------------------------------------------------------------
 
 
+class _TableOffset:
+    """x -> s*h(x) + qa*|x|^2 + <qb, x> + qc for a table h and s = +1 or -1,
+    per point or batched."""
+
+    def __init__(self, tab: "TabulatedFunction", s: float, qa: float, qb: Point = (), qc: float = 0.0):
+        self.tab, self.s, self.qa, self.qb, self.qc = tab, s, qa, qb, qc
+
+    def __call__(self, x) -> float:
+        p = as_point(x)
+        return self.qa * norm_sq(p) + dot(self.qb, p) + self.qc + self.s * self.tab(p)
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        quad = self.qa * _squares(pts) + _dots(self.qb, pts) + self.qc
+        return quad + self.s * self.tab.values(pts)
+
+
 @dataclass(frozen=True)
 class TabulatedFunction:
     """A box plus a deterministic black-box evaluator into (-inf, +inf].
@@ -460,12 +554,16 @@ class TabulatedFunction:
     The evaluator is called with a point tuple.  It may also offer a batch
     method `values(points)` taking an (N, dim) array and returning the N
     values the per-point calls would return; grid sweeps then make one call
-    instead of N.
+    instead of N.  Sups of (quadratic - h) are grid oracles on the working
+    box: a grid maximum, locally refined and guarded by the expanding-box
+    divergence sentinel when the sup runs over the whole space.
     """
 
     box: BoxDomain
     evaluator: Callable[[Point], float]
     label: str = "h"
+
+    method = GRID_ORACLE
 
     def __post_init__(self):
         vals = self.values(self.box.grid().points)
@@ -490,49 +588,119 @@ class TabulatedFunction:
             return np.asarray(batch(points), dtype=float)
         return np.array([self(p) for p in points], dtype=float)
 
+    def _offsets_on_grid(self, qa: np.ndarray, qb: np.ndarray, box: BoxDomain) -> np.ndarray:
+        """qa*|x|^2 + <qb, x> - h(x), one row per (qa, qb) row, one column per grid point."""
+        return quadratic_rows(qa, qb, box.grid().points) - values_on_grid(self, box)
+
+    def sup_quadratic_offset(
+        self,
+        qa: float,
+        qb: Point,
+        qc: float,
+        box: BoxDomain,
+        restrict: bool = True,
+    ) -> tuple[float, Optional[Point]]:
+        """sup of (qa*|x|^2 + <qb, x> + qc) - h(x) and an attaining point.
+
+        The grid maximum on `box`.  Without `restrict` the maximum is refined
+        locally and replaced by +inf when the divergence sentinel fires on
+        expanding boxes.
+        """
+        qb = as_point(qb)
+        row = self._offsets_on_grid(np.array([qa]), np.array([qb]), box)[0]
+        v, p = sup_on_grid(None, box.grid(), values=row)
+        v += qc
+        if restrict:
+            return v, p
+        h = _TableOffset(self, -1.0, qa, qb, qc)
+        if p is not None and is_finite(v):
+            v, p = refine_extremum(h, box, p, rounds=25, kind="sup")
+        if diverges_on_expanding_boxes(h, box, kind="sup"):
+            return INF, None
+        return v, (p if is_finite(v) else None)
+
+    def sup_quadratic_offset_many(
+        self,
+        qa: np.ndarray,
+        qb: np.ndarray,
+        qc,
+        box: BoxDomain,
+        restrict: bool = True,
+    ) -> np.ndarray:
+        """Grid maxima of `sup_quadratic_offset` at every row of (qa, qb, qc).
+
+        Rows are grid maxima on `box` whatever `restrict` says: no row is
+        refined or checked by the sentinel.  `qb` has shape (N, dim).
+        """
+        qa = np.asarray(qa, dtype=float)
+        qb = np.asarray(qb, dtype=float).reshape(len(qa), self.dim)
+        out = np.empty(len(qa))
+        for i in range(0, len(qa), ROW_CHUNK):
+            sl = slice(i, i + ROW_CHUNK)
+            out[sl] = np.max(self._offsets_on_grid(qa[sl], qb[sl], box), axis=1)
+        return out + qc
+
+    def shifted(self, a: float) -> "TabulatedFunction":
+        """h(x) - a*|x|^2, a >= 0, on the same box."""
+        if a < 0:
+            raise ValueError("shift coefficient a must be >= 0")
+        return TabulatedFunction(self.box, _TableOffset(self, 1.0, -a), f"{self.label}~")
+
 
 @dataclass(frozen=True)
 class ProperFunction:
-    """A proper function in one of the two supported representations."""
+    """A proper function; every operation forwards to its representation,
+    a `PiecewiseQuadratic` (closed forms) or a `TabulatedFunction` (grid
+    oracles), which share the interface in the module docstring."""
 
-    kind: str  # "piecewise-quadratic" | "tabulated"
-    piecewise: Optional[PiecewiseQuadratic]
-    tabulated: Optional[TabulatedFunction]
+    rep: Union[PiecewiseQuadratic, TabulatedFunction]
     label: str
 
     @staticmethod
     def from_piecewise(pw: PiecewiseQuadratic, label: str = "f") -> "ProperFunction":
-        return ProperFunction("piecewise-quadratic", pw, None, label)
+        return ProperFunction(pw, label)
 
     @staticmethod
     def from_tabulated(tab: TabulatedFunction) -> "ProperFunction":
-        return ProperFunction("tabulated", None, tab, tab.label)
+        return ProperFunction(tab, tab.label)
+
+    @property
+    def piecewise(self) -> Optional[PiecewiseQuadratic]:
+        return self.rep if isinstance(self.rep, PiecewiseQuadratic) else None
+
+    @property
+    def tabulated(self) -> Optional[TabulatedFunction]:
+        return self.rep if isinstance(self.rep, TabulatedFunction) else None
 
     @property
     def dim(self) -> int:
-        return 1 if self.piecewise is not None else self.tabulated.dim
+        return self.rep.dim
+
+    @property
+    def method(self) -> str:
+        return self.rep.method
 
     def __call__(self, x) -> float:
         p = as_point(x)
         if len(p) != self.dim:
             raise ValueError(f"point dimension {len(p)} != function dimension {self.dim}")
-        if self.piecewise is not None:
-            return self.piecewise(p[0])
-        return self.tabulated(p)
+        return self.rep(p)
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Values at every row of an (N, dim) array, as `__call__` per row."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points of shape {pts.shape} do not match function dimension {self.dim}")
-        if self.piecewise is not None:
-            return self.piecewise.values(pts[:, 0])
-        return self.tabulated.values(pts)
+        return self.rep.values(pts)
 
+    def sup_quadratic_offset(self, qa, qb, qc, box: BoxDomain, restrict=True):
+        return self.rep.sup_quadratic_offset(qa, qb, qc, box, restrict)
 
-def evaluate(f: ProperFunction, x) -> float:
-    """Evaluate a proper function; values lie in (-inf, +inf]."""
-    return f(x)
+    def sup_quadratic_offset_many(self, qa, qb, qc, box: BoxDomain, restrict=True):
+        return self.rep.sup_quadratic_offset_many(qa, qb, qc, box, restrict)
+
+    def shifted(self, a: float) -> "ProperFunction":
+        return ProperFunction(self.rep.shifted(a), f"{self.label}~")
 
 
 def proper_piecewise(label: str, *specs: tuple) -> ProperFunction:
@@ -540,8 +708,13 @@ def proper_piecewise(label: str, *specs: tuple) -> ProperFunction:
 
 
 @lru_cache(maxsize=128)
-def values_on_grid(f: ProperFunction, box: BoxDomain) -> np.ndarray:
-    """Grid values of f on the box lattice (cached; arrays are read-only)."""
+def values_on_grid(f, box: BoxDomain) -> np.ndarray:
+    """Grid values of f (anything with `values(points)`) on the box lattice.
+
+    Cached; the arrays are read-only.  Proper functions are passed as their
+    representation (`f.rep`), the key a table also uses for itself, so each
+    function is evaluated once per box.
+    """
     vals = f.values(box.grid().points)
     vals.setflags(write=False)
     return vals
@@ -550,17 +723,9 @@ def values_on_grid(f: ProperFunction, box: BoxDomain) -> np.ndarray:
 def support_membership(
     phi: Elementary, f: ProperFunction, box: BoxDomain, tol: float = 1e-9
 ) -> bool:
-    """True iff phi <= f everywhere on the box.
-
-    Exact piece-by-piece check for piecewise-quadratic f; grid check with the
-    given tolerance otherwise.
-    """
+    """True iff phi <= f everywhere on the box, i.e. sup over the box of
+    phi - f is at most tol (exact for piecewise quadratics, on the grid for
+    tables)."""
     if phi.dim != f.dim:
         raise ValueError("dimension mismatch between phi and f")
-    if f.piecewise is not None:
-        # min over box of f - phi  >=  -tol
-        v, _ = f.piecewise.inf_plus_quadratic(phi.a, -phi.v[0], -phi.c, box)
-        return v >= -tol
-    vals = values_on_grid(f, box)
-    phi_vals = phi.values(box.grid().points)
-    return bool(np.min(vals - phi_vals) >= -tol)
+    return f.sup_quadratic_offset(-phi.a, phi.v, phi.c, box)[0] <= tol

@@ -15,6 +15,7 @@ disproof -- the searches are truncated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,13 +23,7 @@ import numpy as np
 
 from .core import INF, NEG_INF, BoxDomain, Point, ext_to_json, is_finite
 from .conjugation import phi_conjugate
-from .duality import (
-    ProblemInstance,
-    _dual_table,
-    lagrangian_piecewise,
-    val_lagrangian_primal,
-    val_primal,
-)
+from .duality import ProblemInstance, _dual_table, val_lagrangian_primal, val_primal
 from .functions import (
     Elementary,
     ProperFunction,
@@ -71,42 +66,41 @@ class IntersectionCertificate:
     min_over_x_at_t0: float
 
 
+def _corner_values(phi: Elementary, box: BoxDomain) -> np.ndarray:
+    """phi at the 2^dim corners of the box."""
+    corners = np.array(list(itertools.product(*zip(box.lower, box.upper))))
+    return phi.values(corners)
+
+
 def check_intersection_property(
     phi1: Elementary,
     phi2: Elementary,
     alpha: float,
     box: BoxDomain,
     tol: float = 1e-9,
-    t_tol: float = 1e-10,
 ) -> IntersectionCertificate:
     """Check the intersection property at level alpha via its lemma form.
 
-    v(t) = min over the box of t*phi1 + (1-t)*phi2 is concave in t (an
-    infimum of functions affine in t), so its maximum over [0, 1] is found by
-    ternary search; the property holds iff that maximum reaches alpha.
+    The property holds iff v(t) = min over the box of t*phi1 + (1-t)*phi2
+    reaches alpha for some t in [0, 1].  Every combination is concave in x
+    (its quadratic coefficient stays >= 0), so its minimum over the box sits
+    at a corner: v is the lower envelope of one line in t per corner, and
+    its maximum lies at t = 1, at t = 0 or where two corner lines cross.
+    Those candidates are evaluated exactly; ties prefer t = 1, then t = 0.
     """
-
-    def v(t: float) -> float:
-        return elementary_extremum_on_box(phi1.combine(phi2, t), box, "inf")[0]
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > t_tol:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if v(m1) < v(m2):
-            lo = m1
-        else:
-            hi = m2
-    t_mid = 0.5 * (lo + hi)
-    cands = [(v(t), t) for t in (t_mid, 1.0, 0.0)]
-    best = max(c[0] for c in cands)
-    snap = 1e-12 * (1.0 + abs(best))
-    for val, t in cands[1:]:
-        if val >= best - snap:
-            best_v, t0 = val, t
-            break
-    else:
-        best_v, t0 = cands[0]
+    u1, u2 = _corner_values(phi1, box), _corner_values(phi2, box)
+    slope = u1 - u2  # corner line k: u2[k] + t*slope[k]
+    ts = [1.0, 0.0]
+    for k, l in itertools.combinations(range(len(slope)), 2):
+        if slope[k] != slope[l]:
+            t = float((u2[l] - u2[k]) / (slope[k] - slope[l]))
+            if 0.0 < t < 1.0:
+                ts.append(t)
+    best_v, t0 = NEG_INF, None
+    for t in ts:
+        v = elementary_extremum_on_box(phi1.combine(phi2, t), box, "inf")[0]
+        if v > best_v:
+            best_v, t0 = v, t
     return IntersectionCertificate(
         holds=best_v >= alpha - tol,
         t0=t0,
@@ -186,43 +180,38 @@ class AlphaCertificate:
         }
 
 
-def _inf_lagrangian(inst: ProblemInstance, psi: Elementary) -> float:
-    """inf over the box of L(., psi); -inf when psi is infeasible."""
-    pw = lagrangian_piecewise(inst, psi)
-    if pw is not None:
-        return pw.inf_plus_quadratic(0.0, 0.0, 0.0, inst.box)[0]
-    gstar = phi_conjugate(inst.g, psi, inst.box).value
-    if gstar == INF:
-        return NEG_INF
-    fv = values_on_grid(inst.f, inst.box)
-    psiv = psi.values(inst.box.grid().points)
-    return float(np.min(fv + psiv)) - gstar
-
-
 def support_candidates(
     inst: ProblemInstance,
     psi: Elementary,
     alpha: float,
     param_points: int = 5,
 ) -> list[Elementary]:
-    """Candidate support elements of L(., psi) on the box.
+    """Candidate support elements of L(., psi) = f + psi - g*(psi) on the box.
 
     (a) the constant alpha when it minorizes L, (b) the constant at inf L,
     (c) elementary minorants with (a, v) on a coarse subgrid and c pushed up
     to inf(L - (-a x^2 + <v, x>)).  All candidates are nudged down by a float
-    guard so membership is robust.
+    guard so membership is robust.  No candidate when psi is infeasible.
     """
-    inf_l = _inf_lagrangian(inst, psi)
-    if inf_l == NEG_INF:
+    gstar = phi_conjugate(inst.g, psi, inst.box).value
+    if gstar == INF:
         return []
+
+    def inf_l(a: float, v: tuple) -> float:
+        # inf(f + psi - g*(psi) + a|x|^2 - <v, x>) = -sup(q - f), q = -(...)
+        qb = tuple(vi - pi for vi, pi in zip(v, psi.v))
+        return -inst.f.sup_quadratic_offset(psi.a - a, qb, gstar - psi.c, inst.box)[0]
+
     zeros = (0.0,) * inst.phi.dim
+    inf_0 = inf_l(0.0, zeros)
+    if inf_0 == NEG_INF:
+        return []
     guard = lambda c: c - 1e-12 * (1.0 + abs(c))
     cands: list[Elementary] = []
-    if alpha <= inf_l + 1e-12:
+    if alpha <= inf_0 + 1e-12:
         cands.append(Elementary(0.0, zeros, alpha))
-    if is_finite(inf_l):
-        cands.append(Elementary(0.0, zeros, guard(inf_l)))
-    pw = lagrangian_piecewise(inst, psi)
+    if is_finite(inf_0):
+        cands.append(Elementary(0.0, zeros, guard(inf_0)))
     a_axis = (
         np.linspace(0.0, inst.phi.a_max, param_points)
         if inst.phi.kind == "lsc-quadratic"
@@ -234,17 +223,10 @@ def support_candidates(
         else np.array([0.0])
     )
     if inst.phi.dim != 1:
-        return cands  # minorant subgrid only wired up for the 1D workhorse
+        return cands  # the minorant subgrid below is 1D only
     for a in a_axis:
         for v in v_axis:
-            if pw is not None:
-                c, _ = pw.inf_plus_quadratic(a, -v, 0.0, inst.box)
-            else:
-                gstar = phi_conjugate(inst.g, psi, inst.box).value
-                fv = values_on_grid(inst.f, inst.box)
-                xs = inst.box.grid().points[:, 0]
-                psiv = psi.values_1d(xs)
-                c = float(np.min(fv + psiv - gstar + a * xs * xs - v * xs))
+            c = inf_l(float(a), (float(v),))
             if is_finite(c):
                 cands.append(Elementary(a, (v,), guard(c)))
     return cands
@@ -360,18 +342,7 @@ def _pair_margins(
     f: ProperFunction, box: BoxDomain, vs: np.ndarray, sign: float
 ) -> np.ndarray:
     """inf over the box of f(x) - sign*<v, x>, per row of vs."""
-    if f.piecewise is not None and box.dim == 1:
-        # inf(f - s*v*x) = -sup(s*v*x - f)
-        return -f.piecewise.sup_quadratic_offset_many(
-            np.zeros(len(vs)), sign * vs[:, 0], 0.0, box
-        )
-    fv = values_on_grid(f, box)
-    pts = box.grid().points
-    out = np.empty(len(vs))
-    for i in range(0, len(vs), 256):
-        sl = slice(i, i + 256)
-        out[sl] = np.min(fv[None, :] - sign * (vs[sl] @ pts.T), axis=1)
-    return out
+    return -f.sup_quadratic_offset_many(np.zeros(len(vs)), sign * vs, 0.0, box)
 
 
 def check_bui_condition(
@@ -402,8 +373,8 @@ def check_bui_condition(
     m_g = _pair_margins(inst.g, inst.box, vs, +1.0)  # inf(g - <v, x>)
     m_f = _pair_margins(inst.f, inst.box, vs, -1.0)  # inf(f + <v, x>)
     pts = inst.box.grid().points
-    gv = values_on_grid(inst.g, inst.box)
-    fv = values_on_grid(inst.f, inst.box)
+    gv = values_on_grid(inst.g.rep, inst.box)
+    fv = values_on_grid(inst.f.rep, inst.box)
     vx = vs @ pts.T  # (Nv, M)
     per = []
     for eps in eps_list:

@@ -23,13 +23,7 @@ import numpy as np
 from .core import INF, NEG_INF, Point, as_point, ext_to_json, is_finite
 from .conjugation import biconjugate, phi_conjugate
 from .duality import ProblemInstance, _dual_table, val_primal
-from .functions import (
-    Elementary,
-    ProperFunction,
-    TabulatedFunction,
-    UnsupportedClassError,
-    shift_by_quadratic,
-)
+from .functions import Elementary, UnsupportedClassError
 from .subdifferential import SubgradientCertificate, is_dual_subgradient, is_subgradient
 
 CONVEXITY_CHECK_TOL = 1e-4
@@ -77,34 +71,6 @@ class KktCertificate:
             "hypothesis_doubtful": self.hypothesis_doubtful,
             "searched": dict(self.searched),
         }
-
-
-def _shifted(f: ProperFunction, a: float) -> ProperFunction:
-    """f - a*||.||^2 in whichever representation f carries."""
-    if f.piecewise is not None:
-        return ProperFunction.from_piecewise(
-            shift_by_quadratic(f.piecewise, a), f"{f.label}~"
-        )
-    tab = f.tabulated
-    return ProperFunction.from_tabulated(
-        TabulatedFunction(tab.box, _ShiftedEvaluator(tab, a), f"{f.label}~")
-    )
-
-
-class _ShiftedEvaluator:
-    """x -> h(x) - a*||x||^2 for a tabulated h, per point or batched."""
-
-    def __init__(self, tab: TabulatedFunction, a: float):
-        self.tab, self.a = tab, a
-
-    def __call__(self, p: Point) -> float:
-        return self.tab.evaluator(p) - self.a * sum(c * c for c in p)
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        sq = 0.0
-        for xk in np.asarray(points, dtype=float).T:
-            sq = sq + xk * xk
-        return self.tab.values(points) - self.a * sq
 
 
 def _convexity_gaps(inst: ProblemInstance, x_star: Point) -> tuple[float, float]:
@@ -184,7 +150,7 @@ def verify_kkt_lsc(
     x_star = as_point(x_star)
     a_star = phi_star.a
     w_star = phi_star.v
-    f_shift = _shifted(inst.f, a_star)
+    f_shift = inst.f.shifted(a_star)
     neg_w = Elementary(0.0, tuple(-w for w in w_star), 0.0)
     cond1 = is_subgradient(f_shift, x_star, neg_w, inst.box)
     cond2 = is_dual_subgradient(inst.g, x_star, phi_star, inst.phi, inst.box)

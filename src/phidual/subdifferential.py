@@ -29,7 +29,7 @@ from .conjugation import (
     phi_conjugate,
     refine_in_params,
 )
-from .functions import Elementary, PhiClass, ProperFunction, values_on_grid
+from .functions import Elementary, PhiClass, ProperFunction
 
 
 @dataclass(frozen=True)
@@ -76,24 +76,15 @@ def is_eps_subgradient(
 ) -> SubgradientCertificate:
     """phi in the eps-subdifferential of f at x_bar, checked over the box.
 
-    Folds the constant f(x_bar) - phi(x_bar) - eps into the quadratic before
-    clamping, so the violation sup is a single exact pass for piecewise f.
+    Folds the constant f(x_bar) - phi(x_bar) - eps into the quadratic, so the
+    violation is one sup of (quadratic - f) over the box.
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
     x_bar = as_point(x_bar)
     fx = _dom_value(f, x_bar)
     shift = fx - phi(x_bar) - eps
-    if f.piecewise is not None:
-        worst, wit = f.piecewise.sup_quadratic_offset(
-            -phi.a, phi.v[0], phi.c + shift, box
-        )
-    else:
-        grid = box.grid()
-        vals = phi.values(grid.points) - values_on_grid(f, box) + shift
-        i = int(np.argmax(vals))
-        worst = float(vals[i])
-        wit = None if worst == NEG_INF else grid.point(i)
+    worst, wit = f.sup_quadratic_offset(-phi.a, phi.v, phi.c + shift, box)
     holds = worst <= tol
     return SubgradientCertificate(
         holds=holds,
@@ -149,12 +140,7 @@ def is_dual_subgradient(
     base = phi_bar(x_bar) - fstar_bar
     table = conjugate_table(f, phi_class, box, "right")
     params = table.params
-    if phi_class.kind == "lsc-quadratic":
-        a, v = params[:, 0], params[:, 1:]
-    elif phi_class.kind == "affine":
-        a, v = np.zeros(params.shape[0]), params
-    else:
-        a, v = np.zeros(params.shape[0]), np.zeros((params.shape[0], phi_class.dim))
+    a, v = phi_class.split_params(params)
     sq = sum(c * c for c in x_bar)
     viol = -a * sq + v @ np.asarray(x_bar) - base - table.values
     i = int(np.argmax(viol))

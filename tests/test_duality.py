@@ -18,7 +18,6 @@ from phidual import (
     perturbation_conjugate_direct,
     perturbation_conjugate_zero,
     proper_piecewise,
-    val_cd,
     val_cd_sym,
     val_icd,
     val_lagrangian_dual,
@@ -111,11 +110,6 @@ def test_val_lagrangian_dual_examples():
     assert abs(v) < 1e-9 and phi.v == (0.0,)
     neg_affine = ProblemInstance(PAIR.f, PAIR.g, PAIR.box, affine_class())
     assert val_lagrangian_dual(neg_affine) == (NEG_INF, None)
-
-
-def test_val_cd_equals_lagrangian_dual_exactly():
-    for inst in (PAIR, KKT, FEN):
-        assert val_cd(inst)[0] == val_lagrangian_dual(inst)[0]
 
 
 def test_val_cd_sym_examples():

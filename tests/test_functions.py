@@ -9,10 +9,8 @@ from phidual import (
     PhiClass,
     PiecewiseQuadratic,
     QuadraticPiece,
-    evaluate,
     pieces,
     proper_piecewise,
-    shift_by_quadratic,
     support_membership,
 )
 from phidual.functions import quad_inf_on_interval, quad_sup_on_interval
@@ -26,7 +24,7 @@ F_DOUBLE = proper_piecewise(
 
 def test_evaluate_simple_quadratic():
     f = proper_piecewise("f", (-INF, INF, 2.0, 0.0, 0.0))
-    assert evaluate(f, 1.0) == 2.0
+    assert f(1.0) == 2.0
 
 
 def test_evaluate_double_parabola():
@@ -55,14 +53,22 @@ def test_shared_endpoint_takes_lower_value():
 
 def test_shift_by_quadratic_examples():
     f = pieces((-INF, INF, 2.0, 0.0, 0.0))
-    assert shift_by_quadratic(f, 1.0)(3.0) == 9.0  # 2x^2 - x^2
-    assert shift_by_quadratic(f, 0.0)(3.0) == f(3.0)
+    assert f.shifted(1.0)(3.0) == 9.0  # 2x^2 - x^2
+    assert f.shifted(0.0)(3.0) == f(3.0)
     half = pieces((0.0, INF, 2.0, -4.0, 2.0))
-    shifted = shift_by_quadratic(half, 1.0)
+    shifted = half.shifted(1.0)
     xs = np.linspace(0, 5, 7)
     assert np.allclose(shifted.values(xs), xs * xs - 4 * xs + 2)
     with pytest.raises(ValueError):
-        shift_by_quadratic(f, -0.5)
+        f.shifted(-0.5)
+
+
+def test_piecewise_takes_plain_and_numpy_coordinates_and_points():
+    f = pieces((-1.0, 1.0, 1.0, 0.0, 0.0))
+    for x in (0.5, np.float32(0.5), np.float64(0.5), np.array(0.5), (0.5,), np.array([0.5])):
+        assert f(x) == 0.25, type(x)
+    assert f(np.int64(1)) == 1.0
+    assert f(np.int64(2)) == INF
 
 
 def test_pieces_must_be_sorted_and_disjoint():
@@ -133,7 +139,7 @@ def test_piecewise_matches_direct_polynomial_on_random_interior_points():
 def test_shift_is_exact_pointwise_identity():
     rng = np.random.default_rng(11)
     f = pieces((-5.0, 0.0, 1.5, 2.0, -1.0), (0.0, 5.0, 3.0, -2.0, 1.0))
-    fs = shift_by_quadratic(f, 1.25)
+    fs = f.shifted(1.25)
     # coefficient-level identity is exact: only the leading term moves
     for p, q in zip(f.pieces, fs.pieces):
         assert (q.a2, q.a1, q.a0) == (p.a2 - 1.25, p.a1, p.a0)

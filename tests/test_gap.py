@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phidual import (
+    BoxDomain,
     Elementary,
     INF,
     NEG_INF,
@@ -72,19 +73,23 @@ def test_direct_oracle_on_support_pair():
 
 
 def test_lemma_and_direct_agree_on_random_pairs():
-    rng = np.random.default_rng(17)
-    box = box1d(n=501)
-    agree = 0
-    for _ in range(80):
-        phi1 = Elementary(rng.choice([0.0, 0.5, 1.0]), (rng.uniform(-3, 3),), rng.uniform(-4, 4))
-        phi2 = Elementary(rng.choice([0.0, 0.5, 1.0]), (rng.uniform(-3, 3),), rng.uniform(-4, 4))
-        alpha = float(rng.uniform(-6, 2))
-        cert = check_intersection_property(phi1, phi2, alpha, box)
-        if abs(cert.min_over_x_at_t0 - alpha) < 5e-3:
-            continue  # skip near-ties where grid and exact checks can differ
-        assert cert.holds == check_intersection_direct(phi1, phi2, alpha, box, 501)
-        agree += 1
-    assert agree > 40
+    # 1D, and 2D where the envelope has 4 corner lines and 6 crossings
+    for box in (box1d(n=501), BoxDomain((-2.0, -1.0), (1.0, 3.0), (41, 41))):
+        rng = np.random.default_rng(17)
+        agree = 0
+        for _ in range(80):
+            phi1, phi2 = (
+                Elementary(rng.choice([0.0, 0.5, 1.0]), tuple(rng.uniform(-3, 3, box.dim)),
+                           rng.uniform(-4, 4))
+                for _ in range(2)
+            )
+            alpha = float(rng.uniform(-6, 2))
+            cert = check_intersection_property(phi1, phi2, alpha, box)
+            if abs(cert.min_over_x_at_t0 - alpha) < 5e-3:
+                continue  # skip near-ties where grid and exact checks can differ
+            assert cert.holds == check_intersection_direct(phi1, phi2, alpha, box, 501)
+            agree += 1
+        assert agree > 40, box
 
 
 def test_sampled_concavity_of_the_combination_minimum():

@@ -1,0 +1,114 @@
+"""Both function representations honour the one interface the library uses.
+
+`sup_quadratic_offset` restricted to the box must give, bit for bit, what
+row i of `sup_quadratic_offset_many` gives for the same coefficients, and
+`shifted(a)` must subtract a*|x|^2 from the values.  Unrestricted rows of
+`sup_quadratic_offset_many` differ by design: exact sups over the whole line
+for piecewise quadratics, grid maxima on the box for tables.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from phidual import BoxDomain, ProperFunction, TabulatedFunction, pieces
+from phidual.functions import CLOSED_FORM, GRID_ORACLE
+
+from oracles import box1d
+
+BOX_1D = box1d(-3.0, 3.0, 121)
+BOX_2D = BoxDomain((-2.0, -1.0), (1.0, 2.0), (31, 25))
+
+
+def _cup_1d(p):
+    return p[0] * p[0] - 0.5 * p[0] if p[0] >= -2.0 else math.inf
+
+
+def _bowl_2d(p):
+    x, y = p
+    return x * x + 0.5 * y * y - x * y + y if x + y <= 2.0 else math.inf
+
+
+CASES = {
+    "piecewise": (
+        ProperFunction.from_piecewise(
+            pieces((-2.0, 0.5, 1.0, -0.5, 0.0), (0.5, math.inf, -0.25, 1.0, 0.125))
+        ),
+        BOX_1D,
+        CLOSED_FORM,
+    ),
+    "tabulated-1d": (
+        ProperFunction.from_tabulated(TabulatedFunction(BOX_1D, _cup_1d, "t1")),
+        BOX_1D,
+        GRID_ORACLE,
+    ),
+    "tabulated-2d": (
+        ProperFunction.from_tabulated(TabulatedFunction(BOX_2D, _bowl_2d, "t2")),
+        BOX_2D,
+        GRID_ORACLE,
+    ),
+}
+
+
+def _rows(dim: int, n: int = 40):
+    rng = np.random.default_rng(5)
+    qa = rng.choice([-2.0, -0.5, 0.0, 0.25, 1.5], size=n)
+    qb = rng.uniform(-4.0, 4.0, size=(n, dim))
+    qc = rng.uniform(-1.0, 1.0, size=n)
+    qb[0] = 0.0  # a flat row: the sup lands on the minimum of -f
+    return qa, qb, qc
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_restricted_sup_agrees_bitwise_with_its_many_row(name):
+    f, box, method = CASES[name]
+    assert f.method == method and f.rep.method == method
+    qa, qb, qc = _rows(f.dim)
+    many = f.sup_quadratic_offset_many(qa, qb, qc, box)
+    for i in range(len(qa)):
+        v, p = f.sup_quadratic_offset(float(qa[i]), tuple(qb[i]), float(qc[i]), box)
+        assert np.float64(v).tobytes() == many[i].tobytes(), (name, i, v, many[i])
+        if math.isfinite(v):
+            assert box.contains(p)
+            q = qa[i] * sum(c * c for c in p) + float(np.dot(qb[i], p)) + qc[i]
+            assert abs(q - f(p) - v) <= 1e-9 * (1.0 + abs(v))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_shifted_subtracts_the_square(name):
+    f, box, _ = CASES[name]
+    rng = np.random.default_rng(9)
+    pts = np.vstack([box.grid().points, rng.uniform(box.lower, box.upper, (200, f.dim))])
+    sq = np.sum(pts * pts, axis=1)
+    for a in (0.0, 0.75, 3.0):
+        g = f.shifted(a)
+        assert g.label == f.label + "~" and g.method == f.method
+        np.testing.assert_allclose(g.values(pts), f.values(pts) - a * sq, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        f.shifted(-0.5)
+
+
+def test_unrestricted_sup_is_at_least_the_box_sup():
+    for name, (f, box, _) in CASES.items():
+        qa, qb, qc = _rows(f.dim, 10)
+        for i in range(len(qa)):
+            args = (float(qa[i]), tuple(qb[i]), float(qc[i]), box)
+            inside, _ = f.sup_quadratic_offset(*args)
+            whole, _ = f.sup_quadratic_offset(*args, restrict=False)
+            assert whole >= inside, (name, i)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_unrestricted_many_rows(name):
+    f, box, method = CASES[name]
+    qa, qb, qc = _rows(f.dim, 10)
+    whole = f.sup_quadratic_offset_many(qa, qb, qc, box, restrict=False)
+    if method == GRID_ORACLE:
+        # no refinement and no divergence sentinel: the box rows, bit for bit
+        inside = f.sup_quadratic_offset_many(qa, qb, qc, box)
+        assert whole.tobytes() == inside.tobytes()
+    else:
+        for i in range(len(qa)):
+            v, _ = f.sup_quadratic_offset(float(qa[i]), tuple(qb[i]), float(qc[i]), box, restrict=False)
+            assert np.float64(v).tobytes() == whole[i].tobytes(), (i, v, whole[i])

@@ -12,10 +12,8 @@ from phidual import (
     is_subgradient,
     phi_conjugate,
     proper_piecewise,
-    shift_by_quadratic,
     young_triple,
 )
-from phidual.functions import ProperFunction
 
 from oracles import box1d, dense_sup, lsc_class
 
@@ -29,9 +27,7 @@ F_DOUBLE = proper_piecewise(
 
 def test_subgradient_of_shifted_double_parabola():
     # f(x) - f(2) >= x^2 - 4 for all x, expressed through f~ = f - x^2
-    f_shift = ProperFunction.from_piecewise(
-        shift_by_quadratic(F_DOUBLE.piecewise, 1.0), "f~"
-    )
+    f_shift = F_DOUBLE.shifted(1.0)
     cert = is_subgradient(f_shift, 2.0, Elementary(0.0, (0.0,), 0.0), BOX)
     assert cert.holds and cert.worst_violation <= 1e-9
 
