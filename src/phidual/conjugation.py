@@ -21,7 +21,18 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import INF, NEG_INF, ROW_CHUNK, BoxDomain, Point, as_point, ext_add, is_finite
+from .core import (
+    INF,
+    NEG_INF,
+    ROW_CHUNK,
+    BatchObjective,
+    BoxDomain,
+    Point,
+    _halving_search,
+    as_point,
+    ext_add,
+    is_finite,
+)
 from .functions import (
     Elementary,
     PhiClass,
@@ -115,18 +126,6 @@ def conjugate_table(
     return ConjugateTable(params, values, side, f.method)
 
 
-def conjugate_at(
-    f: ProperFunction,
-    phi_class: PhiClass,
-    box: BoxDomain,
-    params,
-    side: str = "right",
-) -> float:
-    """Single conjugate value at a parameter vector (c = 0)."""
-    arr = np.asarray([list(params)], dtype=float)
-    return float(conjugates_at_params(f, phi_class, box, arr, side)[0])
-
-
 def refine_in_params(
     objective,
     phi_class: PhiClass,
@@ -135,9 +134,13 @@ def refine_in_params(
 ) -> tuple[float, tuple[float, ...]]:
     """Local maximization of `objective(params)` around a parameter-grid seed.
 
-    Same halving scheme as `refine_extremum`, but in the truncated parameter
+    The halving search of `refine_extremum`, but in the truncated parameter
     box of the class (candidates are clipped to it), so refined winners remain
-    members of the searched family.
+    members of the searched family.  Each round's untried candidates are one
+    call of `objective.values(rows)` when the objective has that batch method
+    (an (N, n_params) array in, N values out, each as `objective(row)` would
+    give it; see `core.BatchObjective`); any other objective is called
+    candidate by candidate.  Both give the same value and parameters.
     """
     axes = phi_class.param_axes()
     if not axes:
@@ -145,18 +148,9 @@ def refine_in_params(
         return objective(p), p
     radii = [float(ax[1] - ax[0]) for ax in axes]
     offsets = (-1.0, -0.5, 0.0, 0.5, 1.0) if len(axes) <= 2 else (-1.0, 0.0, 1.0)
-    best_p = phi_class.clip_params(seed_params)
-    best_v = objective(best_p)
-    for _ in range(rounds):
-        for off in np.ndindex(*(len(offsets),) * len(axes)):
-            cand = phi_class.clip_params(
-                tuple(c + offsets[o] * r for c, o, r in zip(best_p, off, radii))
-            )
-            val = objective(cand)
-            if val > best_v:
-                best_v, best_p = val, cand
-        radii = [r / 2.0 for r in radii]
-    return best_v, best_p
+    lower, upper = phi_class.param_bounds()
+    seed = phi_class.clip_params(seed_params)
+    return _halving_search(objective, seed, radii, offsets, lower, upper, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +216,12 @@ def biconjugate(
     if not refine:
         return float(scores[i])
 
-    def objective(params):
-        phi = phi_class.member(params)
-        return phi(x) - conjugate_at(f, phi_class, box, params, "right")
+    def objective(params: np.ndarray) -> np.ndarray:
+        fstar = conjugates_at_params(f, phi_class, box, params, "right")
+        return phi_class.member_values(params, x) - fstar
 
     seed = tuple(conjugate_table(f, phi_class, box, "right").params[i])
-    val, _ = refine_in_params(objective, phi_class, seed)
+    val, _ = refine_in_params(BatchObjective(objective), phi_class, seed)
     return max(float(scores[i]), val)
 
 

@@ -11,6 +11,7 @@ ties resolve to the first point in enumeration order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -223,6 +224,82 @@ def inf_on_grid(
     return best, grid.point(i)
 
 
+class BatchObjective:
+    """A search objective given by its batch form.
+
+    `values(rows)` maps an (N, k) array of candidates to their N values, and
+    each row's value must not depend on which rows share the batch; calling
+    the objective with one candidate evaluates a one-row batch, so both forms
+    give the same value bit for bit.
+    """
+
+    def __init__(self, values: Callable[[np.ndarray], np.ndarray]):
+        self.values = values
+
+    def __call__(self, p) -> float:
+        return float(self.values(np.asarray([p], dtype=float))[0])
+
+
+def _evaluations(objective, rows: np.ndarray, sign: float) -> Iterator[float]:
+    """sign * objective at every row, in row order.
+
+    One call of the batch method `objective.values(rows)` when the objective
+    has one (the rule of `_values_on_grid`); any other callable is called
+    with one point tuple per row, lazily, so a consumer that stops early
+    makes no further calls.
+    """
+    batch = getattr(objective, "values", None)
+    if batch is not None:
+        yield from sign * np.asarray(batch(rows), dtype=float)
+    else:
+        for row in rows:
+            yield sign * objective(tuple(row.tolist()))
+
+
+def _halving_search(
+    objective,
+    seed: Sequence[float],
+    radii: Sequence[float],
+    offsets: Sequence[float],
+    lower: Sequence[float],
+    upper: Sequence[float],
+    rounds: int,
+    sign: float = 1.0,
+) -> tuple[float, Point]:
+    """Maximize sign * objective by local lattice search around `seed`.
+
+    Each round visits the offsets^k lattice (lexicographic) around the
+    incumbent, scaled by `radii` and clipped to [lower, upper]; the first
+    strict improvement becomes the incumbent, the rest of the lattice is
+    visited around it, and the radii halve after the round.  That is the
+    sequential point-by-point order; the untried part of the lattice is
+    evaluated as one batch (see `_evaluations`).  `seed` must lie in the
+    bounds.  Returns (objective value, point) of the incumbent.
+    """
+    lattice = np.array(list(itertools.product(offsets, repeat=len(seed))), dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    steps = np.asarray(radii, dtype=float)
+    best_p = np.asarray(seed, dtype=float)
+    best_v = next(_evaluations(objective, best_p[None, :], sign))
+    for _ in range(rounds):
+        k = 0
+        while k < len(lattice):
+            cands = best_p + lattice[k:] * steps
+            # min(max(c, lo), hi) per coordinate, as `BoxDomain.clip`
+            cands = np.where(lower > cands, lower, cands)
+            cands = np.where(upper < cands, upper, cands)
+            for j, v in enumerate(_evaluations(objective, cands, sign)):
+                if v > best_v:
+                    best_v, best_p = v, cands[j]
+                    k += j + 1
+                    break
+            else:
+                break
+        steps = steps / 2.0
+    return float(sign * best_v), tuple(best_p.tolist())
+
+
 def refine_extremum(
     h: Callable[[Point], float],
     box: BoxDomain,
@@ -233,7 +310,11 @@ def refine_extremum(
     """Local grid refinement around `seed`, halving the search cell each round.
 
     The returned value is >= (for sup; <= for inf) the seed evaluation and is
-    monotone in `rounds`.  The search never leaves the box.
+    monotone in `rounds`.  The search never leaves the box.  Each round's
+    untried candidates are one call of `h.values(points)` when h has that
+    batch method (an (N, dim) array in, N values out, each as `h(point)`
+    would give it); any other h is called point by point.  Both visit the
+    candidates in the same order and return the same value and point.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -243,30 +324,10 @@ def refine_extremum(
     if not box.contains(seed):
         raise ValueError("seed must lie inside the box")
     sign = 1.0 if kind == "sup" else -1.0
-    best_p = seed
-    best_v = sign * h(seed)
-    radii = list(box.cell_sizes())
-    offsets = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    for _ in range(rounds):
-        for off in _offset_lattice(len(radii), offsets):
-            cand = box.clip(
-                tuple(c + o * r for c, o, r in zip(best_p, off, radii))
-            )
-            v = sign * h(cand)
-            if v > best_v:
-                best_v, best_p = v, cand
-        radii = [r / 2.0 for r in radii]
-    return sign * best_v, best_p
-
-
-def _offset_lattice(dim: int, offsets: Sequence[float]) -> Iterator[tuple[float, ...]]:
-    if dim == 1:
-        for o in offsets:
-            yield (o,)
-    else:
-        for o1 in offsets:
-            for o2 in offsets:
-                yield (o1, o2)
+    return _halving_search(
+        h, seed, box.cell_sizes(), (-1.0, -0.5, 0.0, 0.5, 1.0),
+        box.lower, box.upper, rounds, sign,
+    )
 
 
 def extremum_on_box(

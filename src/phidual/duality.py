@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     INF,
     NEG_INF,
+    BatchObjective,
     BoxDomain,
     Point,
     as_point,
@@ -176,9 +177,15 @@ def val_primal(inst: ProblemInstance) -> tuple[float, Optional[Point]]:
     and dual values comparable.
     """
     vals = objective_values(inst.f, inst.g, inst.box)
-    h = lambda p: inst.f(p) + inst.g(p)
     rounds = 25 if inst.method == CLOSED_FORM else 0
-    return extremum_on_box(h, inst.box, kind="inf", values=vals, rounds=rounds)
+    return extremum_on_box(
+        _primal_objective(inst), inst.box, kind="inf", values=vals, rounds=rounds
+    )
+
+
+def _primal_objective(inst: ProblemInstance) -> BatchObjective:
+    """x -> f(x) + g(x) at every row of an (N, dim) array of points."""
+    return BatchObjective(lambda points: inst.f.values(points) + inst.g.values(points))
 
 
 def dual_value_at(inst: ProblemInstance, phi: Elementary) -> float:
@@ -211,13 +218,14 @@ def val_lagrangian_dual(
     if params.shape[1] == 0:
         return float(d[i]), inst.phi.member(())
 
-    def objective(p):
-        arr = np.asarray([list(p)], dtype=float)
-        lf = conjugates_at_params(inst.f, inst.phi, inst.box, arr, "left")[0]
-        gs = conjugates_at_params(inst.g, inst.phi, inst.box, arr, "right")[0]
-        return NEG_INF if (lf == INF or gs == INF) else -lf - gs
+    def objective(rows: np.ndarray) -> np.ndarray:
+        lf = conjugates_at_params(inst.f, inst.phi, inst.box, rows, "left")
+        gs = conjugates_at_params(inst.g, inst.phi, inst.box, rows, "right")
+        return np.where((lf == INF) | (gs == INF), NEG_INF, -lf - gs)
 
-    val, p = refine_in_params(objective, inst.phi, tuple(params[i]), refine_rounds)
+    val, p = refine_in_params(
+        BatchObjective(objective), inst.phi, tuple(params[i]), refine_rounds
+    )
     if val > float(d[i]):
         return val, inst.phi.member(p)
     return float(d[i]), inst.phi.member(tuple(params[i]))
@@ -248,26 +256,28 @@ def val_cd_sym(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
     forces a = 0, so the sweep always runs over the affine subfamily.
     """
     sub = _affine_subclass(inst.phi)
+
+    def objective(rows: np.ndarray) -> np.ndarray:
+        fv = conjugates_at_params(inst.f, sub, inst.box, -rows, "right")
+        gv = conjugates_at_params(inst.g, sub, inst.box, rows, "right")
+        return np.where((fv == INF) | (gv == INF), NEG_INF, -fv - gv)
+
     params = sub.param_grid()
-    fneg = conjugates_at_params(inst.f, sub, inst.box, -params, "right")
-    gpos = conjugates_at_params(inst.g, sub, inst.box, params, "right")
-    d = -fneg - gpos
+    d = objective(params)
     i = int(np.argmax(d))
     if d[i] == NEG_INF:
         return NEG_INF, None
     if params.shape[1] == 0:
         return float(d[i]), sub.member(())
-
-    def objective(p):
-        arr = np.asarray([list(p)], dtype=float)
-        fv = conjugates_at_params(inst.f, sub, inst.box, -arr, "right")[0]
-        gv = conjugates_at_params(inst.g, sub, inst.box, arr, "right")[0]
-        return NEG_INF if (fv == INF or gv == INF) else -fv - gv
-
-    val, p = refine_in_params(objective, sub, tuple(params[i]), 20)
+    val, p = refine_in_params(BatchObjective(objective), sub, tuple(params[i]), 20)
     if val > float(d[i]):
         return val, sub.member(p)
     return float(d[i]), sub.member(tuple(params[i]))
+
+
+def _icd_applies(phi_class: PhiClass) -> bool:
+    """The infimal-convolution dual needs 0 in the class and additivity."""
+    return phi_class.contains_zero and phi_class.additive
 
 
 def val_icd(
@@ -279,7 +289,7 @@ def val_icd(
     Zero-sum pairs force both members affine here (a1 + a2 = 0 with both
     >= 0), so the sweep coincides with the symmetric-form one.
     """
-    if not (inst.phi.contains_zero and inst.phi.additive):
+    if not _icd_applies(inst.phi):
         raise UnsupportedClassError(
             "the infimal-convolution dual needs 0 in the class and additivity"
         )
@@ -308,13 +318,14 @@ def _lagrangian_primal_search(
         return v, p
     family = searched_family(inst.g, inst.phi, inst.box, extra_phis)
 
-    def m(x: Point) -> float:
-        fx = inst.f(x)
-        if fx == INF:
-            return INF
-        b = float(biconjugate_at_points(family, np.asarray([x]))[0])
-        return fx + min(b, inst.g(x))
+    def m_values(points: np.ndarray) -> np.ndarray:
+        fx = inst.f.values(points)
+        b = biconjugate_at_points(family, points)
+        gx = inst.g.values(points)
+        # min(b, g(x)) keeps b on ties, signed zeros included
+        return np.where(fx == INF, INF, fx + np.where(gx < b, gx, b))
 
+    m = BatchObjective(m_values)
     if inst.method == CLOSED_FORM:
         v, p = refine_extremum(m, inst.box, p, refine_rounds, kind="inf")
     for q in extra_points:
@@ -413,10 +424,8 @@ def duality_chain_report(inst: ProblemInstance, tol: float = 1e-6) -> DualityRep
     """
     v_cd, phi_cd = val_lagrangian_dual(inst)
     v_sym, phi_sym = val_cd_sym(inst)
-    try:
-        v_icd, _ = val_icd(inst)
-    except UnsupportedClassError:
-        v_icd = NEG_INF
+    # val_icd is val_cd_sym wherever it applies: reuse the sweep just made
+    v_icd = v_sym if _icd_applies(inst.phi) else NEG_INF
     # the symmetric-pair winner is CD-feasible: merge it to guard against
     # refinement asymmetry between the two sweeps
     for cand in (phi_sym,):

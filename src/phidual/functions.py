@@ -344,17 +344,26 @@ class PhiClass:
             )
         return phi
 
+    def param_bounds(self) -> tuple[Point, Point]:
+        """(lower, upper) corners of the truncated parameter box."""
+        n_v = 0 if self.kind == "constant-only" else self.dim
+        lower, upper = (-self.v_max,) * n_v, (self.v_max,) * n_v
+        if self.kind == "lsc-quadratic":
+            return (0.0, *lower), (self.a_max, *upper)
+        return lower, upper
+
     def clip_params(self, params: Sequence[float]) -> tuple[float, ...]:
-        p = list(float(x) for x in params)
-        if self.kind == "lsc-quadratic":
-            p[0] = min(max(p[0], 0.0), self.a_max)
-            rest = p[1:]
-        else:
-            rest = p
-        rest = [min(max(x, -self.v_max), self.v_max) for x in rest]
-        if self.kind == "lsc-quadratic":
-            return (p[0], *rest)
-        return tuple(rest)
+        lower, upper = self.param_bounds()
+        p = [float(x) for x in params]
+        if len(p) != self.n_params:
+            raise ValueError("parameter vector length mismatch")
+        return tuple(min(max(x, lo), hi) for x, lo, hi in zip(p, lower, upper))
+
+    def member_values(self, params: np.ndarray, x: Point) -> np.ndarray:
+        """`member(row)(x)` at every parameter row (c = 0), bit for bit: the
+        sums keep the order of `Elementary.__call__`."""
+        a, v = self.split_params(params)
+        return -a * norm_sq(x) + _dots(x, v) + 0.0
 
     def truncation_summary(self) -> dict:
         return {
@@ -434,7 +443,9 @@ class PiecewiseQuadratic:
         out = np.full(xs.shape, INF)
         for p in self.pieces:
             m = (xs >= p.lo) & (xs <= p.hi)
-            out[m] = np.minimum(out[m], (p.a2 * xs[m] + p.a1) * xs[m] + p.a0)
+            poly = (p.a2 * xs[m] + p.a1) * xs[m] + p.a0
+            # min(val, poly) of `__call__`: the earlier piece wins ties, signed zeros too
+            out[m] = np.where(poly < out[m], poly, out[m])
         return out
 
     def _interval(self, box: Optional[BoxDomain], restrict: bool) -> tuple[float, float]:
@@ -562,6 +573,8 @@ class TabulatedFunction:
     box: BoxDomain
     evaluator: Callable[[Point], float]
     label: str = "h"
+    #: values on the box grid (read-only), computed once at construction
+    grid_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     method = GRID_ORACLE
 
@@ -573,6 +586,8 @@ class TabulatedFunction:
             raise ValueError("function values must stay above -inf")
         if not np.any(np.isfinite(vals)):
             raise ValueError("empty effective domain on the working grid")
+        vals.setflags(write=False)
+        object.__setattr__(self, "grid_values", vals)
 
     @property
     def dim(self) -> int:
@@ -590,7 +605,8 @@ class TabulatedFunction:
 
     def _offsets_on_grid(self, qa: np.ndarray, qb: np.ndarray, box: BoxDomain) -> np.ndarray:
         """qa*|x|^2 + <qb, x> - h(x), one row per (qa, qb) row, one column per grid point."""
-        return quadratic_rows(qa, qb, box.grid().points) - values_on_grid(self, box)
+        hv = self.grid_values if box == self.box else values_on_grid(self, box)
+        return quadratic_rows(qa, qb, box.grid().points) - hv
 
     def sup_quadratic_offset(
         self,

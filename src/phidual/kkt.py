@@ -172,7 +172,7 @@ def verify_kkt(
 
 def _minimizer_candidates(inst: ProblemInstance, limit: int = 6) -> list[Point]:
     """Refined local minimizers of f + g on the grid, best first."""
-    from .duality import objective_values
+    from .duality import objective_values, _primal_objective
     from .core import refine_extremum
 
     v, p = val_primal(inst)
@@ -189,10 +189,9 @@ def _minimizer_candidates(inst: ProblemInstance, limit: int = 6) -> list[Point]:
         right[-1] = INF
         local = np.flatnonzero(finite & (vals <= left) & (vals <= right))
         order = local[np.argsort(vals[local], kind="stable")]
+        h = _primal_objective(inst)
         for i in order[: 2 * limit]:
-            lv, lp = refine_extremum(
-                lambda q: inst.f(q) + inst.g(q), inst.box, grid.point(int(i)), 20, "inf"
-            )
+            lv, lp = refine_extremum(h, inst.box, grid.point(int(i)), 20, "inf")
             if all(abs(lp[0] - c[1][0]) > 1e-6 for c in cands):
                 cands.append((lv, lp))
     cands.sort(key=lambda c: (c[0], c[1]))

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INF, NEG_INF, BoxDomain, Point, as_point, is_finite
+from .core import INF, NEG_INF, BatchObjective, BoxDomain, Point, as_point, is_finite
 from .conjugation import (
     biconjugate,
     conjugate_table,
@@ -149,13 +149,14 @@ def is_dual_subgradient(
 
     if params.shape[1] and worst > NEG_INF:
 
-        def objective(p):
-            phi = phi_class.member(p)
-            arr = np.asarray([list(p)], dtype=float)
-            fs = conjugates_at_params(f, phi_class, box, arr, "right")[0]
-            return NEG_INF if fs == INF else phi(x_bar) - base - fs
+        def objective(rows: np.ndarray) -> np.ndarray:
+            fs = conjugates_at_params(f, phi_class, box, rows, "right")
+            phix = phi_class.member_values(rows, x_bar)
+            return np.where(fs == INF, NEG_INF, phix - base - fs)
 
-        ref_v, ref_p = refine_in_params(objective, phi_class, worst_p, refine_rounds)
+        ref_v, ref_p = refine_in_params(
+            BatchObjective(objective), phi_class, worst_p, refine_rounds
+        )
         if ref_v > worst:
             worst, worst_p = ref_v, ref_p
 

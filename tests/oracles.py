@@ -8,6 +8,7 @@ against something that cannot share their bugs.
 from __future__ import annotations
 
 import math
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from phidual import (
     ProperFunction,
     proper_piecewise,
 )
+from phidual.core import Point, as_point
 
 INF = math.inf
 
@@ -112,3 +114,93 @@ def random_instance(rng: np.random.Generator, samples=501, phi_grid=33) -> Probl
             return ProblemInstance(f, g, box, phi)
         except ValueError:
             continue
+
+
+# ---------------------------------------------------------------------------
+# sequential halving searches
+# ---------------------------------------------------------------------------
+
+
+def sequential_refine_extremum(
+    h: Callable[[Point], float],
+    box: BoxDomain,
+    seed: Point,
+    rounds: int,
+    kind: str = "sup",
+) -> tuple[float, Point]:
+    """Local grid refinement around `seed`, halving the search cell each round.
+
+    The point-by-point halving search that `core.refine_extremum` ran before
+    its candidates were batched, kept as the reference for the batched one.
+
+    The returned value is >= (for sup; <= for inf) the seed evaluation and is
+    monotone in `rounds`.  The search never leaves the box.
+    """
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    if kind not in ("sup", "inf"):
+        raise ValueError("kind must be 'sup' or 'inf'")
+    seed = as_point(seed)
+    if not box.contains(seed):
+        raise ValueError("seed must lie inside the box")
+    sign = 1.0 if kind == "sup" else -1.0
+    best_p = seed
+    best_v = sign * h(seed)
+    radii = list(box.cell_sizes())
+    offsets = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    for _ in range(rounds):
+        for off in _offset_lattice(len(radii), offsets):
+            cand = box.clip(
+                tuple(c + o * r for c, o, r in zip(best_p, off, radii))
+            )
+            v = sign * h(cand)
+            if v > best_v:
+                best_v, best_p = v, cand
+        radii = [r / 2.0 for r in radii]
+    return sign * best_v, best_p
+
+
+def _offset_lattice(dim: int, offsets: Sequence[float]) -> Iterator[tuple[float, ...]]:
+    if dim == 1:
+        for o in offsets:
+            yield (o,)
+    else:
+        for o1 in offsets:
+            for o2 in offsets:
+                yield (o1, o2)
+
+
+def sequential_refine_in_params(
+    objective,
+    phi_class: PhiClass,
+    seed_params,
+    rounds: int = 20,
+) -> tuple[float, tuple[float, ...]]:
+    """Local maximization of `objective(params)` around a parameter-grid seed.
+
+    The candidate-by-candidate search that `conjugation.refine_in_params`
+    ran before its candidates were batched, kept as the reference for the
+    batched one.
+
+    Same halving scheme as `refine_extremum`, but in the truncated parameter
+    box of the class (candidates are clipped to it), so refined winners remain
+    members of the searched family.
+    """
+    axes = phi_class.param_axes()
+    if not axes:
+        p = ()
+        return objective(p), p
+    radii = [float(ax[1] - ax[0]) for ax in axes]
+    offsets = (-1.0, -0.5, 0.0, 0.5, 1.0) if len(axes) <= 2 else (-1.0, 0.0, 1.0)
+    best_p = phi_class.clip_params(seed_params)
+    best_v = objective(best_p)
+    for _ in range(rounds):
+        for off in np.ndindex(*(len(offsets),) * len(axes)):
+            cand = phi_class.clip_params(
+                tuple(c + offsets[o] * r for c, o, r in zip(best_p, off, radii))
+            )
+            val = objective(cand)
+            if val > best_v:
+                best_v, best_p = val, cand
+        radii = [r / 2.0 for r in radii]
+    return best_v, best_p

@@ -6,9 +6,11 @@ show up as a crash of traced benchmark runs.  This test resolves each name
 the way the tracer does.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
+import struct
 
 import pytest
 
@@ -49,3 +51,59 @@ def test_worker_reads_the_piecewise_representation():
     tab = TabulatedFunction(BoxDomain((0.0,), (1.0,), (3,)), lambda p: 0.0)
     h = ProperFunction.from_tabulated(tab)
     assert h.tabulated is tab and h.piecewise is None
+
+
+def _exact(obj):
+    """Outputs with every float as its bit pattern (signed zeros differ)."""
+    if isinstance(obj, float):
+        return struct.pack("<d", obj).hex()
+    if dataclasses.is_dataclass(obj):
+        return _exact(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {k: _exact(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_exact(v) for v in obj]
+    return obj
+
+
+def _analyses(pd, entry, inst) -> dict:
+    """The analyses whose searches the tracer wraps, on one instance."""
+    pin = entry.expected["kkt"][0]
+    phi = pd.Elementary(pin["a"], (pin["w"],), 0.0)
+    out = {"chain": pd.duality_chain_report(inst), "kkt": pd.verify_kkt(inst, pin["x"], phi)}
+    for x in (pin["x"], 0.55, -3.3):
+        out[f"biconjugate {x}"] = pd.biconjugate(inst.g, x, inst.phi, inst.box)
+        out[f"dual subgradient {x}"] = pd.is_dual_subgradient(
+            inst.g, x, pd.Elementary(2.0, (0.5,), 0.0), inst.phi, inst.box
+        )
+    out["conjugate"] = pd.phi_conjugate(inst.f, pd.Elementary(0.5, (1.0,)), inst.box)
+    return out
+
+
+def test_traced_analyses_equal_untraced_bit_for_bit():
+    """The tracer hands every search a plain counting callable in place of
+    the batched objective, so the traced run takes the per-candidate path;
+    both paths must give the same outputs, on a catalog entry and on its
+    401-point tabulated twin (where `phi_conjugate` is unrestricted, with
+    refinement and sentinel)."""
+    import phidual as pd
+    from phidual.serialize import NearestLookup
+
+    entry = pd.get_entry("example-6.1")
+    inst = entry.build()
+    box = pd.BoxDomain(inst.box.lower, inst.box.upper, (401,))
+
+    def twin(f):
+        table = NearestLookup(box, f.values(box.grid().points))
+        return pd.ProperFunction.from_tabulated(pd.TabulatedFunction(box, table, f.label))
+
+    instances = [inst, pd.ProblemInstance(twin(inst.f), twin(inst.g), box, inst.phi)]
+    untraced = [_exact(_analyses(pd, entry, i)) for i in instances]
+    tracer = LT.Tracer(LT.CacheStats())
+    tracer.install()
+    try:
+        traced = [_exact(_analyses(pd, entry, i)) for i in instances]
+    finally:
+        tracer.restore()
+    assert traced == untraced
+    assert tracer.metrics()["L3.objective_evals"][0] > 0
