@@ -55,7 +55,6 @@ from .duality import (
     duality_chain_report,
     lagrangian,
     perturbation,
-    perturbation_conjugate_direct,
     perturbation_conjugate_zero,
     val_cd_sym,
     val_icd,
@@ -70,7 +69,6 @@ from .gap import (
     IntersectionCertificate,
     certify_zero_gap_via_intersection,
     check_bui_condition,
-    check_intersection_direct,
     check_intersection_property,
     theorem_bridge_report,
 )

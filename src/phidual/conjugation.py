@@ -11,6 +11,13 @@ with an expanding-box divergence sentinel for tabulated functions (see
 `functions`).  By default the sup runs over the function's own conceptual
 domain; `restrict_to_box=True` limits the quantifier to the working box,
 which is what the subgradient-side tests use.
+
+`conjugate_table` and `biconjugate_on_grid` are maxima over the parameter
+lattice (a axis x v rows).  In 1D both sweep it with the monotone-argmax
+kernel `functions._monotone_row_max` (a table's conjugates through
+`sup_quadratic_offset_lattice`; piecewise quadratics keep their exact
+clamping); extra family members, refinement batches, single points and 2D
+take the dense (rows x points) maximum.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from .functions import (
     Elementary,
     PhiClass,
     ProperFunction,
+    _monotone_row_max,
+    _squares,
     quadratic_rows,
     values_on_grid,
 )
@@ -120,10 +129,15 @@ def conjugates_at_params(
 def conjugate_table(
     f: ProperFunction, phi_class: PhiClass, box: BoxDomain, side: str = "right"
 ) -> ConjugateTable:
-    params = phi_class.param_grid()
-    values = conjugates_at_params(f, phi_class, box, params, side)
+    """`conjugates_at_params` over the whole parameter grid, computed as the
+    (a axis x v rows) lattice it is: one monotone-argmax sweep per a for a
+    1D table, the same values as the dense rows."""
+    a, v = phi_class.lattice()
+    sign = 1.0 if side == "right" else -1.0
+    values = f.sup_quadratic_offset_lattice(-sign * a, sign * v, 0.0, box, restrict=False)
+    values = values.ravel()
     values.setflags(write=False)
-    return ConjugateTable(params, values, side, f.method)
+    return ConjugateTable(phi_class.param_grid(), values, side, f.method)
 
 
 def refine_in_params(
@@ -158,6 +172,12 @@ def refine_in_params(
 # ---------------------------------------------------------------------------
 
 
+def _extra_params(phi_class: PhiClass, extra_phis: Iterable[Elementary]) -> np.ndarray:
+    """Parameter rows of `extra_phis` (members of the class), shape (k, n_params)."""
+    rows = [phi_class.params_of(phi_class.require_member(p)) for p in extra_phis]
+    return np.array(rows, dtype=float).reshape(len(rows), phi_class.n_params)
+
+
 def searched_family(
     f: ProperFunction,
     phi_class: PhiClass,
@@ -168,14 +188,10 @@ def searched_family(
     followed by `extra_phis` (c = 0)."""
     table = conjugate_table(f, phi_class, box, "right")
     params, values = table.params, table.values
-    extras = [phi_class.require_member(p) for p in extra_phis]
-    if extras:
-        eparams = np.array(
-            [phi_class.params_of(p) for p in extras], dtype=float
-        ).reshape(len(extras), phi_class.n_params)
-        evalues = conjugates_at_params(f, phi_class, box, eparams, "right")
-        params = np.vstack([params, eparams])
-        values = np.concatenate([values, evalues])
+    extras = _extra_params(phi_class, extra_phis)
+    if len(extras):
+        params = np.vstack([params, extras])
+        values = np.concatenate([values, conjugates_at_params(f, phi_class, box, extras)])
     a, v = phi_class.split_params(params)
     return a, v, values
 
@@ -235,9 +251,26 @@ def biconjugate_on_grid(
 
     `extra_phis` join the searched family (used to keep value chains coherent
     when a refined dual winner leaves the coarse parameter grid).
+
+    In 1D the conjugate table's lattice is swept by `_monotone_row_max`, one
+    a at a time: rows are the ascending grid points, columns the ascending
+    v, cells those of `biconjugate_at_points`.  The extras, and every 2D
+    family, take the dense rows.
     """
-    family = searched_family(f, phi_class, box, extra_phis)
-    return biconjugate_at_points(family, box.grid().points)
+    points = box.grid().points
+    if phi_class.dim != 1:
+        return biconjugate_at_points(searched_family(f, phi_class, box, extra_phis), points)
+    a, v = phi_class.lattice()
+    fstar = conjugate_table(f, phi_class, box, "right").values.reshape(len(a), len(v))
+    qa, vb, x, sq = -a, v[:, 0], points[:, 0], _squares(points)
+    out = _monotone_row_max(
+        lambda s, i, j: (qa[s] * sq[i] + vb[j] * x[i]) - fstar[s, j], len(a), len(x), len(vb)
+    ).max(axis=0)
+    extras = _extra_params(phi_class, extra_phis)
+    if len(extras):
+        family = (*phi_class.split_params(extras), conjugates_at_params(f, phi_class, box, extras))
+        out = np.maximum(out, biconjugate_at_points(family, points))
+    return out
 
 
 def fenchel_moreau_check(

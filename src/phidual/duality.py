@@ -21,6 +21,7 @@ reported violation reflects an actual defect rather than search asymmetry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -119,37 +120,6 @@ def perturbation_conjugate_zero(inst: ProblemInstance, phi: Elementary) -> float
     return left_conjugate(inst.f, phi, inst.box).value + phi_conjugate(
         inst.g, phi, inst.box
     ).value
-
-
-def perturbation_conjugate_direct(
-    inst: ProblemInstance,
-    phi: Elementary,
-    psi: Elementary,
-    x_box: Optional[BoxDomain] = None,
-    y_box: Optional[BoxDomain] = None,
-) -> float:
-    """Direct double-grid sup of c((phi, psi), (x, y)) - p(x, y).
-
-    Brute-force evaluator of the generalized-coupling conjugate; used to
-    cross-check the factored form and to exercise couplings with psi != phi.
-    """
-    x_box = x_box or inst.box
-    y_box = y_box or inst.box
-    best = NEG_INF
-    for x in x_box.grid():
-        fx = inst.f(x)
-        if fx == INF:
-            continue
-        base = phi(x) - psi(x) - fx
-        for y in y_box.grid():
-            z = tuple(a + b for a, b in zip(x, y))
-            gz = inst.g(z)
-            if gz == INF:
-                continue
-            val = base + psi(z) - gz
-            if val > best:
-                best = val
-    return best
 
 
 def lagrangian(inst: ProblemInstance, x, phi: Elementary) -> float:
@@ -445,13 +415,13 @@ def duality_chain_report(inst: ProblemInstance, tol: float = 1e-6) -> DualityRep
         if cand < v_p:
             v_p, x_p = cand, x_lp
 
-    violations = []
+    values = dict(zip(_CHAIN, (v_p, v_lp, v_ld, v_cd, v_sym, v_icd)))
+    # a NaN compares false with everything, so it is a violation of its own
+    violations = [f"{name} is NaN" for name, v in values.items() if math.isnan(v)]
     for hi, lo in (("val_P", "val_LP"), ("val_LP", "val_LD"), ("val_CD", "val_CD_sym"),
                    ("val_CD", "val_ICD")):
-        pairs = {"val_P": v_p, "val_LP": v_lp, "val_LD": v_ld, "val_CD": v_cd,
-                 "val_CD_sym": v_sym, "val_ICD": v_icd}
-        if pairs[hi] < pairs[lo] - tol:
-            violations.append(f"{hi} < {lo} by {pairs[lo] - pairs[hi]:.3e}")
+        if values[hi] < values[lo] - tol:
+            violations.append(f"{hi} < {lo} by {values[lo] - values[hi]:.3e}")
     if abs(v_ld - v_cd) > tol:
         violations.append("val_LD != val_CD")
 

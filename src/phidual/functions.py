@@ -6,16 +6,20 @@ and both representations offer the same small interface:
 * ``dim`` and ``method`` (``CLOSED_FORM`` or ``GRID_ORACLE``);
 * ``values(points)`` on an (N, dim) array;
 * ``sup_quadratic_offset(qa, qb, qc, box, restrict)``, the sup of
-  ``qa*|x|^2 + <qb, x> + qc - f(x)`` over the box or the whole space, and
+  ``qa*|x|^2 + <qb, x> + qc - f(x)`` over the box or the whole space,
   ``sup_quadratic_offset_many`` over parameter rows (for tables these rows
-  are grid maxima on the box, with or without ``restrict``);
+  are grid maxima on the box, with or without ``restrict``) and
+  ``sup_quadratic_offset_lattice`` over every pair of a ``qa`` axis and
+  ``qb`` rows;
 * ``shifted(a)``, the function ``f - a*|x|^2``.
 
 Conjugates, subgradient tests and Lagrangian slices are all such sups.
 :class:`PiecewiseQuadratic` (1D, finitely many quadratic pieces, +inf
 outside their union) computes them exactly by vertex clamping;
 :class:`TabulatedFunction` (a black-box evaluator over a box) by grid
-oracles.
+oracles: dense (rows x grid points) maxima, except for a 1D lattice, which
+`_monotone_row_max` sweeps in O((N + M) log N) cells per ``qa`` with the
+same cells' values.
 
 Elementary functions are x |-> -a*||x||^2 + <v, x> + c with a >= 0; a = 0
 gives the affine class.  :class:`PhiClass` is a truncated, searchable
@@ -153,6 +157,53 @@ def quadratic_rows(qa: np.ndarray, qb: np.ndarray, points: np.ndarray) -> np.nda
     for k in range(1, points.shape[1]):
         dt = dt + np.outer(qb[:, k], points[:, k])
     return np.outer(qa, _squares(points)) + dt
+
+
+def _monotone_row_max(cell, n_slices: int, n_rows: int, n_cols: int) -> np.ndarray:
+    """Row maxima of `n_slices` matrices of shape (n_rows, n_cols), each with
+    a leftmost row argmax that never moves left as the row index grows.
+
+    `cell(s, i, j)` returns the entries at equal-length index arrays.  In
+    1D, M[i, j] = qa*sq + qb_i*x_j - h_j with qb and x ascending has this
+    structure: M[i2, j2] - M[i2, j1] - M[i1, j2] + M[i1, j1] =
+    (qb_i2 - qb_i1)(x_j2 - x_j1) >= 0 (the total monotonicity behind SMAWK
+    and Lucet's linear-time Legendre transform); whole -inf columns never
+    win.  Divide and conquer, all slices and open row ranges of one level
+    at once: each range evaluates its middle row over the columns between
+    its neighbours' argmaxima, and the leftmost maximum splits the range.
+    That is O((n_rows + n_cols) log n_rows) cells per slice instead of
+    n_rows*n_cols.  Returns an (n_slices, n_rows) array.
+    """
+    out = np.empty((n_slices, n_rows))
+    s = np.arange(n_slices)
+    lo, hi = np.zeros(n_slices, dtype=np.intp), np.full(n_slices, n_rows)
+    clo, chi = np.zeros(n_slices, dtype=np.intp), np.full(n_slices, n_cols - 1)
+    while s.size:
+        mid = (lo + hi) // 2
+        length = chi - clo + 1
+        start = np.cumsum(length) - length
+        seg = np.repeat(np.arange(s.size), length)
+        j = np.arange(start[-1] + length[-1]) + (clo - start)[seg]
+        vals = cell(s[seg], mid[seg], j)
+        best = np.maximum.reduceat(vals, start)
+        # the first cell not below its range's maximum (the first cell of a NaN range)
+        hits = np.flatnonzero(~(vals < best[seg]))
+        arg = j[hits[np.searchsorted(hits, start)]]
+        out[s, mid] = best
+        left, right = mid > lo, mid + 1 < hi
+        s = np.concatenate([s[left], s[right]])
+        lo, hi = np.concatenate([lo[left], mid[right] + 1]), np.concatenate([mid[left], hi[right]])
+        clo, chi = np.concatenate([clo[left], arg[right]]), np.concatenate([arg[left], chi[right]])
+    return out
+
+
+def _lattice_by_rows(rep, qa: np.ndarray, qb: np.ndarray, qc, box, restrict) -> np.ndarray:
+    """`rep.sup_quadratic_offset_many` at every pair (qa_s, qb_i), qa-major,
+    as an (S, R) array."""
+    rows = rep.sup_quadratic_offset_many(
+        np.repeat(qa, len(qb)), np.tile(qb, (len(qa), 1)), qc, box, restrict
+    )
+    return rows.reshape(len(qa), len(qb))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +345,17 @@ class PhiClass:
             return np.zeros((1, 0))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
+
+    def lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a axis, v rows) whose pairs, a-major, are `param_grid()` in order:
+        shapes (S,) and (R, dim); an axis-free a is [0.0], an axis-free v
+        one zero row, and a 1D v axis ascends."""
+        axes = self.param_axes()
+        a = axes.pop(0) if self.kind == "lsc-quadratic" else np.zeros(1)
+        if not axes:
+            return a, np.zeros((1, self.dim))
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return a, np.column_stack([m.ravel() for m in mesh])
 
     def split_params(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Parameter rows -> (a, v) arrays of shapes (N,) and (N, dim)."""
@@ -520,6 +582,19 @@ class PiecewiseQuadratic:
             )
         return out
 
+    def sup_quadratic_offset_lattice(
+        self,
+        qa: np.ndarray,
+        qb: np.ndarray,
+        qc,
+        box: Optional[BoxDomain] = None,
+        restrict: bool = True,
+    ) -> np.ndarray:
+        """`sup_quadratic_offset_many` at every pair (qa_s, qb_i) of a qa axis
+        (S,) and qb rows (R, 1): an (S, R) array, row by row as `_many`."""
+        qa, qb = np.asarray(qa, dtype=float), np.asarray(qb, dtype=float).reshape(-1, 1)
+        return _lattice_by_rows(self, qa, qb, qc, box, restrict)
+
     def shifted(self, a: float) -> "PiecewiseQuadratic":
         """f(x) - a*x^2, a >= 0, on identical intervals (only a2 moves)."""
         if a < 0:
@@ -603,10 +678,13 @@ class TabulatedFunction:
             return np.asarray(batch(points), dtype=float)
         return np.array([self(p) for p in points], dtype=float)
 
+    def _values_on(self, box: BoxDomain) -> np.ndarray:
+        """h at the grid points of `box` (read-only)."""
+        return self.grid_values if box == self.box else values_on_grid(self, box)
+
     def _offsets_on_grid(self, qa: np.ndarray, qb: np.ndarray, box: BoxDomain) -> np.ndarray:
         """qa*|x|^2 + <qb, x> - h(x), one row per (qa, qb) row, one column per grid point."""
-        hv = self.grid_values if box == self.box else values_on_grid(self, box)
-        return quadratic_rows(qa, qb, box.grid().points) - hv
+        return quadratic_rows(qa, qb, box.grid().points) - self._values_on(box)
 
     def sup_quadratic_offset(
         self,
@@ -654,6 +732,36 @@ class TabulatedFunction:
         for i in range(0, len(qa), ROW_CHUNK):
             sl = slice(i, i + ROW_CHUNK)
             out[sl] = np.max(self._offsets_on_grid(qa[sl], qb[sl], box), axis=1)
+        return out + qc
+
+    def sup_quadratic_offset_lattice(
+        self,
+        qa: np.ndarray,
+        qb: np.ndarray,
+        qc,
+        box: BoxDomain,
+        restrict: bool = True,
+    ) -> np.ndarray:
+        """`sup_quadratic_offset_many` at every pair (qa_s, qb_i) of a qa axis
+        (S,) and qb rows (R, dim): an (S, R) array.
+
+        In 1D each qa slice is one `_monotone_row_max` over the qb rows in
+        ascending order and the ascending grid points, with the cells of
+        `_offsets_on_grid`, so every value is a maximum over a subset of the
+        dense rows' cells.  In 2D the rows are the dense ones.
+        """
+        qa = np.asarray(qa, dtype=float)
+        qb = np.asarray(qb, dtype=float).reshape(-1, self.dim)
+        if self.dim != 1:
+            return _lattice_by_rows(self, qa, qb, qc, box, restrict)
+        points, hv = box.grid().points, self._values_on(box)
+        x, sq = points[:, 0], _squares(points)
+        order = np.argsort(qb[:, 0], kind="stable")
+        b = qb[order, 0]
+        out = np.empty((len(qa), len(b)))
+        out[:, order] = _monotone_row_max(
+            lambda s, i, j: (qa[s] * sq[j] + b[i] * x[j]) - hv[j], len(qa), len(b), len(x)
+        )
         return out + qc
 
     def shifted(self, a: float) -> "TabulatedFunction":
@@ -714,6 +822,9 @@ class ProperFunction:
 
     def sup_quadratic_offset_many(self, qa, qb, qc, box: BoxDomain, restrict=True):
         return self.rep.sup_quadratic_offset_many(qa, qb, qc, box, restrict)
+
+    def sup_quadratic_offset_lattice(self, qa, qb, qc, box: BoxDomain, restrict=True):
+        return self.rep.sup_quadratic_offset_lattice(qa, qb, qc, box, restrict)
 
     def shifted(self, a: float) -> "ProperFunction":
         return ProperFunction(self.rep.shifted(a), f"{self.label}~")

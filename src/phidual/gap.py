@@ -4,8 +4,7 @@ Two routes to certifying a zero gap are implemented and bridged:
 
 * the intersection property: two support elements of Lagrangian slices have
   the intersection property at level alpha iff some convex combination of
-  them dominates alpha everywhere (checked exactly for elementary functions
-  and cross-checked by a brute-force set-emptiness oracle);
+  them dominates alpha everywhere (checked exactly for elementary functions);
 * the sum condition: 0 lies in (eps-subdifferential of f + eps-subdifferential
   of g)(X) for every tested eps, searched over zero-sum pairs in the class.
 
@@ -111,35 +110,6 @@ def check_intersection_property(
     )
 
 
-def check_intersection_direct(
-    phi1: Elementary,
-    phi2: Elementary,
-    alpha: float,
-    box: BoxDomain,
-    t_grid_size: int = 1001,
-) -> bool:
-    """Brute-force oracle for the intersection property at level alpha.
-
-    For every t on a grid of [0, 1], at least one of the two sets
-    [t*phi1 + (1-t)*phi2 < alpha] meet [phi_i < alpha] must be empty on the
-    box grid.
-    """
-    pts = box.grid().points
-    v1 = phi1.values(pts)
-    v2 = phi2.values(pts)
-    below1 = v1 < alpha
-    below2 = v2 < alpha
-    ts = np.linspace(0.0, 1.0, t_grid_size)
-    for i in range(0, len(ts), 64):
-        block = ts[i : i + 64]
-        combo_below = block[:, None] * v1[None, :] + (1.0 - block[:, None]) * v2[None, :] < alpha
-        bad1 = np.any(combo_below & below1[None, :], axis=1)
-        bad2 = np.any(combo_below & below2[None, :], axis=1)
-        if np.any(bad1 & bad2):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # certificate search for levels below the Lagrangian primal value
 # ---------------------------------------------------------------------------
@@ -189,8 +159,9 @@ def support_candidates(
     """Candidate support elements of L(., psi) = f + psi - g*(psi) on the box.
 
     (a) the constant alpha when it minorizes L, (b) the constant at inf L,
-    (c) elementary minorants with (a, v) on a coarse subgrid and c pushed up
-    to inf(L - (-a x^2 + <v, x>)).  All candidates are nudged down by a float
+    (c) elementary minorants with (a, v) on a coarse subgrid (the a axis
+    times the product of the v axes) and c pushed up to
+    inf(L - (-a|x|^2 + <v, x>)).  All candidates are nudged down by a float
     guard so membership is robust.  No candidate when psi is infeasible.
     """
     gstar = phi_conjugate(inst.g, psi, inst.box).value
@@ -222,13 +193,11 @@ def support_candidates(
         if inst.phi.kind != "constant-only"
         else np.array([0.0])
     )
-    if inst.phi.dim != 1:
-        return cands  # the minorant subgrid below is 1D only
     for a in a_axis:
-        for v in v_axis:
-            c = inf_l(float(a), (float(v),))
+        for v in itertools.product(v_axis.tolist(), repeat=inst.phi.dim):
+            c = inf_l(float(a), v)
             if is_finite(c):
-                cands.append(Elementary(a, (v,), guard(c)))
+                cands.append(Elementary(a, v, guard(c)))
     return cands
 
 

@@ -8,7 +8,7 @@ against something that cannot share their bugs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,66 @@ def argmin_lookup_index(box: BoxDomain, p) -> int:
     """
     idx = tuple(int(np.argmin(np.abs(ax - c))) for c, ax in zip(p, box.axes()))
     return int(np.ravel_multi_index(idx, tuple(box.samples)))
+
+
+def check_intersection_direct(
+    phi1: Elementary,
+    phi2: Elementary,
+    alpha: float,
+    box: BoxDomain,
+    t_grid_size: int = 1001,
+) -> bool:
+    """Brute-force oracle for the intersection property at level alpha.
+
+    For every t on a grid of [0, 1], at least one of the two sets
+    [t*phi1 + (1-t)*phi2 < alpha] meet [phi_i < alpha] must be empty on the
+    box grid.
+    """
+    pts = box.grid().points
+    v1 = phi1.values(pts)
+    v2 = phi2.values(pts)
+    below1 = v1 < alpha
+    below2 = v2 < alpha
+    ts = np.linspace(0.0, 1.0, t_grid_size)
+    for i in range(0, len(ts), 64):
+        block = ts[i : i + 64]
+        combo_below = block[:, None] * v1[None, :] + (1.0 - block[:, None]) * v2[None, :] < alpha
+        bad1 = np.any(combo_below & below1[None, :], axis=1)
+        bad2 = np.any(combo_below & below2[None, :], axis=1)
+        if np.any(bad1 & bad2):
+            return False
+    return True
+
+
+def perturbation_conjugate_direct(
+    inst: ProblemInstance,
+    phi: Elementary,
+    psi: Elementary,
+    x_box: Optional[BoxDomain] = None,
+    y_box: Optional[BoxDomain] = None,
+) -> float:
+    """Direct double-grid sup of c((phi, psi), (x, y)) - p(x, y).
+
+    Brute-force evaluator of the generalized-coupling conjugate; used to
+    cross-check the factored form and to exercise couplings with psi != phi.
+    """
+    x_box = x_box or inst.box
+    y_box = y_box or inst.box
+    best = -INF
+    for x in x_box.grid():
+        fx = inst.f(x)
+        if fx == INF:
+            continue
+        base = phi(x) - psi(x) - fx
+        for y in y_box.grid():
+            z = tuple(a + b for a, b in zip(x, y))
+            gz = inst.g(z)
+            if gz == INF:
+                continue
+            val = base + psi(z) - gz
+            if val > best:
+                best = val
+    return best
 
 
 def box1d(lo=-10.0, hi=10.0, n=2001) -> BoxDomain:
@@ -204,3 +264,76 @@ def sequential_refine_in_params(
                 best_v, best_p = val, cand
         radii = [r / 2.0 for r in radii]
     return best_v, best_p
+
+
+# ---------------------------------------------------------------------------
+# dense (rows x points) maxima
+# ---------------------------------------------------------------------------
+
+
+def _squares(points: np.ndarray):
+    """|x|^2 of every row of an (N, dim) array, summed from 0.0 in coordinate order."""
+    sq = 0.0
+    for xk in points.T:
+        sq = sq + xk * xk
+    return sq
+
+
+def quadratic_rows(qa: np.ndarray, qb: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """qa*|x|^2 + <qb, x> with one row per row of (qa (N,), qb (N, dim)) and
+    one column per row of the (M, dim) points.
+
+    Products and sums are elementwise in coordinate order, so every entry
+    is the same whichever rows or points share the call.
+    """
+    dt = np.outer(qb[:, 0], points[:, 0])
+    for k in range(1, points.shape[1]):
+        dt = dt + np.outer(qb[:, k], points[:, k])
+    return np.outer(qa, _squares(points)) + dt
+
+
+ROW_CHUNK = 512
+
+
+def dense_conjugate_table(f: ProperFunction, phi_class: PhiClass, box: BoxDomain, side: str):
+    """Conjugate values of f over `phi_class.param_grid()` (c = 0) as the
+    library computed them before its monotone kernel: for a table, every
+    (parameter x grid point) cell, `quadratic_rows` minus h, then `np.max`
+    per row; a piecewise function keeps its exact `sup_quadratic_offset_many`."""
+    a, v = phi_class.split_params(phi_class.param_grid())
+    sign = 1.0 if side == "right" else -1.0
+    qa, qb = -sign * a, sign * v
+    if f.tabulated is None:
+        return f.sup_quadratic_offset_many(qa, qb, 0.0, box, restrict=False)
+    points = box.grid().points
+    hv = f.tabulated.values(points)
+    out = np.empty(len(qa))
+    for i in range(0, len(qa), ROW_CHUNK):
+        sl = slice(i, i + ROW_CHUNK)
+        out[sl] = np.max(quadratic_rows(qa[sl], qb[sl], points) - hv, axis=1)
+    return out + 0.0
+
+
+def dense_biconjugate_on_grid(
+    f: ProperFunction, phi_class: PhiClass, box: BoxDomain, extra_phis=()
+) -> np.ndarray:
+    """f** at every grid point over the parameter grid plus `extra_phis`, as
+    the library computed it before its monotone kernel: every (member x grid
+    point) cell, `quadratic_rows` minus f*, then `np.max` per point."""
+    params = phi_class.param_grid()
+    fstar = dense_conjugate_table(f, phi_class, box, "right")
+    if extra_phis:
+        eparams = np.array([phi_class.params_of(p) for p in extra_phis], dtype=float)
+        eparams = eparams.reshape(len(extra_phis), phi_class.n_params)
+        ea, ev = phi_class.split_params(eparams)
+        efstar = f.sup_quadratic_offset_many(-ea, ev, 0.0, box, restrict=False)
+        params = np.vstack([params, eparams])
+        fstar = np.concatenate([fstar, efstar])
+    a, v = phi_class.split_params(params)
+    points = box.grid().points
+    out = np.full(points.shape[0], -INF)
+    for i in range(0, len(fstar), ROW_CHUNK):
+        sl = slice(i, i + ROW_CHUNK)
+        scores = quadratic_rows(-a[sl], v[sl], points) - fstar[sl][:, None]
+        out = np.maximum(out, np.max(scores, axis=0))
+    return out

@@ -13,14 +13,20 @@ from phidual import (
     Elementary,
     INF,
     biconjugate_leq_f,
-    check_intersection_direct,
     check_intersection_property,
     duality_chain_report,
     eps_subgradient_via_conjugate,
     is_eps_subgradient,
     phi_conjugate,
 )
-from oracles import box1d, lsc_class, random_elementary, random_instance, random_piecewise
+from oracles import (
+    box1d,
+    check_intersection_direct,
+    lsc_class,
+    random_elementary,
+    random_instance,
+    random_piecewise,
+)
 
 
 def suite_fenchel_moreau(rng: np.random.Generator, n_instances: int, tol=1e-9):

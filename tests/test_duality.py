@@ -15,7 +15,6 @@ from phidual import (
     get_entry,
     lagrangian,
     perturbation,
-    perturbation_conjugate_direct,
     perturbation_conjugate_zero,
     proper_piecewise,
     val_cd_sym,
@@ -25,7 +24,7 @@ from phidual import (
     val_primal,
 )
 
-from oracles import affine_class, box1d, lsc_class
+from oracles import affine_class, box1d, lsc_class, perturbation_conjugate_direct
 
 PAIR = get_entry("example-6.1").build()
 KKT = get_entry("kkt-example").build()
@@ -261,3 +260,15 @@ def test_general_coupling_conjugate_with_distinct_pair():
     factored = head + phi_conjugate(inst.g, psi, box, restrict_to_box=True).value
     assert abs(head - 0.25) < 1e-12
     assert abs(direct - factored) < 1e-9
+
+
+def test_nan_value_breaks_the_chain(monkeypatch):
+    """A NaN compares false with everything; it must still fail the chain."""
+    import phidual.duality as duality
+    from phidual import catalog_names
+
+    inst = get_entry(catalog_names()[0]).build()
+    monkeypatch.setattr(duality, "val_primal", lambda inst: (math.nan, None))
+    report = duality_chain_report(inst)
+    assert not report.chain_ok
+    assert "val_P is NaN" in report.violations

@@ -10,7 +10,6 @@ from phidual import (
     UnsupportedClassError,
     certify_zero_gap_via_intersection,
     check_bui_condition,
-    check_intersection_direct,
     check_intersection_property,
     get_entry,
     proper_piecewise,
@@ -20,7 +19,7 @@ from phidual import (
 )
 from phidual.gap import elementary_extremum_on_box, support_candidates
 
-from oracles import affine_class, box1d
+from oracles import affine_class, box1d, check_intersection_direct
 
 PAIR = get_entry("example-6.1").build()
 FEN = get_entry("fenchel-quadratic").build()

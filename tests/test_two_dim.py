@@ -72,3 +72,25 @@ def test_2d_dimension_validation():
         Elementary(0.0, (1.0,), 0.0)(BOX2.grid().point(0))
     with pytest.raises(ValueError):
         F2((1.0,))
+
+
+def test_2d_support_candidates_minorize_the_lagrangian_slice():
+    """The minorant subgrid runs over the a axis times the product of the v
+    axes; every candidate stays below L(., psi) = f + psi - g*(psi)."""
+    import numpy as np
+
+    from phidual.gap import support_candidates
+
+    for cls in (
+        PhiClass("affine", dim=2, v_max=4.0, grid_sizes=(9, 9)),
+        PhiClass("lsc-quadratic", dim=2, a_max=2.0, v_max=4.0, grid_sizes=(5, 9, 9)),
+    ):
+        inst = ProblemInstance(F2, G2, BOX2, cls)
+        psi = cls.member((0.0,) * cls.n_params)
+        cands = support_candidates(inst, psi, alpha=-1.0)
+        moving = [c for c in cands if c.a or any(c.v)]
+        assert len(moving) >= 5 ** cls.dim - 1
+        pts = BOX2.grid().points
+        slice_vals = F2.values(pts) + psi.values(pts) - phi_conjugate(G2, psi, BOX2).value
+        for c in cands:
+            assert np.all(c.values(pts) <= slice_vals)
