@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import catalog as _catalog
@@ -45,18 +45,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _floats(text: str) -> list[float]:
+def _floats(text: str, kind=float) -> list:
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
+        return [kind(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
-        raise CliError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise CliError(f"expected comma-separated integers, got {text!r}") from exc
+        what = "integers" if kind is int else "numbers"
+        raise CliError(f"expected comma-separated {what}, got {text!r}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -113,7 +107,7 @@ def _config(args) -> RunConfig:
         raise CliError("--tol must be positive")
     return RunConfig(
         box=box,
-        samples=tuple(_ints(args.grid)) if args.grid else None,
+        samples=tuple(_floats(args.grid, int)) if args.grid else None,
         a_max=args.a_max,
         v_max=args.v_max,
         eps_list=_floats(args.eps_list) if args.eps_list else None,
@@ -141,8 +135,6 @@ def _load(args, cfg: RunConfig) -> tuple[ProblemInstance, Optional[_catalog.Cata
     if args.instance:
         inst = load_instance(args.instance)
         if cfg.box or cfg.samples or cfg.a_max or cfg.v_max:
-            from dataclasses import replace
-
             phi = inst.phi
             if cfg.a_max is not None or cfg.v_max is not None:
                 phi = replace(
@@ -161,9 +153,12 @@ def _load(args, cfg: RunConfig) -> tuple[ProblemInstance, Optional[_catalog.Cata
 
 def _emit(cfg: RunConfig, doc: dict, csv_rows: Optional[list[dict]] = None):
     if cfg.fmt == "csv" and csv_rows is not None:
-        text = dumps_csv(csv_rows)
+        _write(cfg, dumps_csv(csv_rows))
     else:
-        text = dumps_canonical(doc)
+        _write(cfg, dumps_canonical(doc))
+
+
+def _write(cfg: RunConfig, text: str):
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -260,12 +255,7 @@ def cmd_conjugate(args) -> int:
     conj = left_conjugate if args.left else phi_conjugate
     value = conj(func, phi, inst.box).value
     text = jsonify(round_sig(value))
-    out = text if isinstance(text, str) else f"{text:.12g}"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    _write(cfg, (text if isinstance(text, str) else f"{text:.12g}") + "\n")
     return 0
 
 

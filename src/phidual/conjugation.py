@@ -167,6 +167,23 @@ def refine_in_params(
     return _halving_search(objective, seed, radii, offsets, lower, upper, rounds)
 
 
+def _sweep_and_refine(
+    values, phi_class: PhiClass, params: np.ndarray, sweep: np.ndarray, rounds: int = 20
+) -> tuple[float, Optional[tuple[float, ...]]]:
+    """(value, parameters) of the best row of `sweep` (values at the rows of
+    `params`), refined by `refine_in_params` on the batch objective `values`
+    and replaced only when that is strictly larger; (-inf, None) when every
+    row is -inf."""
+    i = int(np.argmax(sweep))
+    best = float(sweep[i]), tuple(params[i])
+    if best[0] == NEG_INF:
+        return NEG_INF, None
+    if params.shape[1] == 0:
+        return best
+    val, p = refine_in_params(BatchObjective(values), phi_class, best[1], rounds)
+    return (val, p) if val > best[0] else best
+
+
 # ---------------------------------------------------------------------------
 # biconjugates
 # ---------------------------------------------------------------------------
@@ -226,19 +243,15 @@ def biconjugate(
     """
     x = as_point(x)
     scores = _minorant_scores(searched_family(f, phi_class, box), np.asarray([x]))[:, 0]
-    i = int(np.argmax(scores))
-    if scores[i] == NEG_INF:
-        return NEG_INF
     if not refine:
-        return float(scores[i])
+        return float(scores[int(np.argmax(scores))])
 
     def objective(params: np.ndarray) -> np.ndarray:
         fstar = conjugates_at_params(f, phi_class, box, params, "right")
         return phi_class.member_values(params, x) - fstar
 
-    seed = tuple(conjugate_table(f, phi_class, box, "right").params[i])
-    val, _ = refine_in_params(BatchObjective(objective), phi_class, seed)
-    return max(float(scores[i]), val)
+    params = conjugate_table(f, phi_class, box, "right").params
+    return _sweep_and_refine(objective, phi_class, params, scores)[0]
 
 
 def biconjugate_on_grid(

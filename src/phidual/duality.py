@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -42,13 +42,13 @@ from .core import (
     refine_extremum,
 )
 from .conjugation import (
+    _sweep_and_refine,
     biconjugate_at_points,
     biconjugate_on_grid,
     conjugate_table,
     conjugates_at_params,
     left_conjugate,
     phi_conjugate,
-    refine_in_params,
     searched_family,
 )
 from .functions import (
@@ -64,7 +64,12 @@ from .functions import (
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Minimize f + g over the box with duals searched in the given class."""
+    """Minimize f + g over the box with duals searched in the given class.
+
+    The values that several analyses share are properties computed once per
+    instance object and kept on it: an equal instance built anew computes
+    them again.
+    """
 
     f: ProperFunction
     g: ProperFunction
@@ -84,6 +89,43 @@ class ProblemInstance:
         if self.f.method == self.g.method == CLOSED_FORM:
             return CLOSED_FORM
         return GRID_ORACLE
+
+    @cached_property
+    def grid_primal(self) -> tuple[float, Optional[Point]]:
+        """`val_primal`: the grid inf of f + g, refined around its minimizer."""
+        return val_primal(self)
+
+    @cached_property
+    def symmetric_dual(self) -> tuple[float, Optional[Elementary]]:
+        """`val_cd_sym`: val(CD^sym) and its winner."""
+        return val_cd_sym(self)
+
+    @cached_property
+    def dual(self) -> tuple[float, Optional[Elementary]]:
+        """val(CD) and its winner: `val_lagrangian_dual`, or the symmetric
+        winner (CD-feasible) where it scores higher, which guards against
+        refinement asymmetry between the two sweeps."""
+        v, phi = val_lagrangian_dual(self)
+        phi_sym = self.symmetric_dual[1]
+        v_sym = NEG_INF if phi_sym is None else dual_value_at(self, phi_sym)
+        return (v_sym, phi_sym) if v_sym > v else (v, phi)
+
+    @cached_property
+    def lagrangian_primal(self) -> tuple[float, Optional[Point]]:
+        """val(LP) and its witness: both dual winners join the g** family and
+        the grid minimizer of f + g is one more candidate point."""
+        extras = tuple(p for p in (self.dual[1], self.symmetric_dual[1]) if p is not None)
+        x_p = self.grid_primal[1]
+        return _lagrangian_primal_search(self, extras, (x_p,) if x_p else ())
+
+    @cached_property
+    def primal(self) -> tuple[float, Optional[Point]]:
+        """val(P) and its minimizer: the grid primal, or the val(LP) witness
+        where f + g is lower."""
+        v_p, x_p = self.grid_primal
+        x_lp = self.lagrangian_primal[1]
+        v_lp = INF if x_lp is None else self.f(x_lp) + self.g(x_lp)
+        return (v_lp, x_lp) if v_lp < v_p else (v_p, x_p)
 
 
 @lru_cache(maxsize=128)
@@ -181,41 +223,26 @@ def val_lagrangian_dual(
     Infeasible parameters (infinite conjugates) contribute -inf and are
     thereby skipped; the winner is refined inside the parameter box.
     """
-    params, d = _dual_table(inst)
-    i = int(np.argmax(d))
-    if d[i] == NEG_INF:
-        return NEG_INF, None
-    if params.shape[1] == 0:
-        return float(d[i]), inst.phi.member(())
 
     def objective(rows: np.ndarray) -> np.ndarray:
         lf = conjugates_at_params(inst.f, inst.phi, inst.box, rows, "left")
         gs = conjugates_at_params(inst.g, inst.phi, inst.box, rows, "right")
         return np.where((lf == INF) | (gs == INF), NEG_INF, -lf - gs)
 
-    val, p = refine_in_params(
-        BatchObjective(objective), inst.phi, tuple(params[i]), refine_rounds
-    )
-    if val > float(d[i]):
-        return val, inst.phi.member(p)
-    return float(d[i]), inst.phi.member(tuple(params[i]))
+    val, p = _sweep_and_refine(objective, inst.phi, *_dual_table(inst), refine_rounds)
+    return val, None if p is None else inst.phi.member(p)
 
 
-def _affine_subclass(phi_class: PhiClass) -> PhiClass:
-    if phi_class.kind == "constant-only":
-        return phi_class
-    sizes = (
-        phi_class.grid_sizes[1:]
-        if phi_class.kind == "lsc-quadratic"
-        else phi_class.grid_sizes
-    )
-    return PhiClass(
-        "affine",
-        dim=phi_class.dim,
-        a_max=phi_class.a_max,
-        v_max=phi_class.v_max,
-        grid_sizes=sizes,
-    )
+def _members_by_dual_value(inst: ProblemInstance, limit: int) -> list[Elementary]:
+    """Up to `limit` members of the parameter grid by descending dual value
+    (ties in grid order), stopping before the first infeasible (-inf) one."""
+    params, d = _dual_table(inst)
+    out = []
+    for i in np.argsort(-d, kind="stable")[:limit]:
+        if d[i] == NEG_INF:
+            break
+        out.append(inst.phi.member(tuple(params[i])))
+    return out
 
 
 def val_cd_sym(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
@@ -225,7 +252,7 @@ def val_cd_sym(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
     For the lsc-quadratic kind the constraint a >= 0 on both phi and -phi
     forces a = 0, so the sweep always runs over the affine subfamily.
     """
-    sub = _affine_subclass(inst.phi)
+    sub = inst.phi.symmetric_subclass()
 
     def objective(rows: np.ndarray) -> np.ndarray:
         fv = conjugates_at_params(inst.f, sub, inst.box, -rows, "right")
@@ -233,16 +260,8 @@ def val_cd_sym(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
         return np.where((fv == INF) | (gv == INF), NEG_INF, -fv - gv)
 
     params = sub.param_grid()
-    d = objective(params)
-    i = int(np.argmax(d))
-    if d[i] == NEG_INF:
-        return NEG_INF, None
-    if params.shape[1] == 0:
-        return float(d[i]), sub.member(())
-    val, p = refine_in_params(BatchObjective(objective), sub, tuple(params[i]), 20)
-    if val > float(d[i]):
-        return val, sub.member(p)
-    return float(d[i]), sub.member(tuple(params[i]))
+    val, p = _sweep_and_refine(objective, sub, params, objective(params))
+    return val, None if p is None else sub.member(p)
 
 
 def _icd_applies(phi_class: PhiClass) -> bool:
@@ -271,9 +290,8 @@ def val_icd(
 
 def _lagrangian_primal_search(
     inst: ProblemInstance,
-    extra_phis: tuple[Elementary, ...] = (),
-    extra_points: tuple[Point, ...] = (),
-    refine_rounds: int = 25,
+    extra_phis: tuple[Elementary, ...],
+    extra_points: tuple[Point, ...],
 ) -> tuple[float, Optional[Point]]:
     # g** <= g holds pointwise, so clamping by g is sound and keeps grid-sup
     # conjugates of tabulated functions from leaking above g between grid
@@ -297,7 +315,7 @@ def _lagrangian_primal_search(
 
     m = BatchObjective(m_values)
     if inst.method == CLOSED_FORM:
-        v, p = refine_extremum(m, inst.box, p, refine_rounds, kind="inf")
+        v, p = refine_extremum(m, inst.box, p, 25, kind="inf")
     for q in extra_points:
         mq = m(as_point(q))
         if mq < v:
@@ -309,9 +327,13 @@ def val_lagrangian_primal(inst: ProblemInstance) -> float:
     """inf of f + g** over the box, via sup_phi L(x, phi) = f(x) + g**(x).
 
     Uses the biconjugate identity instead of a nested sup-inf; -inf when the
-    truncated class contains no feasible elementary function for g.
+    truncated class contains no feasible elementary function for g.  The
+    searched family is the class grid plus the refined dual winners, and the
+    grid minimizer of f + g is a candidate point
+    (`ProblemInstance.lagrangian_primal`), so this is the val(LP) that
+    `duality_chain_report` and `theorem_bridge_report` report.
     """
-    return _lagrangian_primal_search(inst)[0]
+    return inst.lagrangian_primal[0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,32 +410,18 @@ def duality_chain_report(inst: ProblemInstance, tol: float = 1e-6) -> DualityRep
     """Evaluate val(P), val(LP), val(LD), val(CD), val(CD^sym), val(ICD).
 
     Refined dual winners are folded into the biconjugate family and the primal
-    witness is shared, keeping the computed chain coherent; any residual
-    violation beyond `tol` is recorded (dual values remain lower bounds under
-    truncation, so violations are reported, never silently clipped).
+    witness is shared, keeping the computed chain coherent (the values are
+    the instance's shared properties); any residual violation beyond `tol` is
+    recorded (dual values remain lower bounds under truncation, so
+    violations are reported, never silently clipped).
     """
-    v_cd, phi_cd = val_lagrangian_dual(inst)
-    v_sym, phi_sym = val_cd_sym(inst)
-    # val_icd is val_cd_sym wherever it applies: reuse the sweep just made
+    v_p, x_p = inst.primal
+    v_lp = inst.lagrangian_primal[0]
+    v_cd, phi_cd = inst.dual
+    v_sym = inst.symmetric_dual[0]
+    # val_icd is val_cd_sym wherever it applies
     v_icd = v_sym if _icd_applies(inst.phi) else NEG_INF
-    # the symmetric-pair winner is CD-feasible: merge it to guard against
-    # refinement asymmetry between the two sweeps
-    for cand in (phi_sym,):
-        if cand is not None:
-            dv = dual_value_at(inst, cand)
-            if dv > v_cd:
-                v_cd, phi_cd = dv, cand
     v_ld = v_cd
-
-    extras = tuple(p for p in (phi_cd, phi_sym) if p is not None)
-    v_p, x_p = val_primal(inst)
-    v_lp, x_lp = _lagrangian_primal_search(
-        inst, extras, extra_points=(x_p,) if x_p else ()
-    )
-    if x_lp is not None:
-        cand = inst.f(x_lp) + inst.g(x_lp)
-        if cand < v_p:
-            v_p, x_p = cand, x_lp
 
     values = dict(zip(_CHAIN, (v_p, v_lp, v_ld, v_cd, v_sym, v_icd)))
     # a NaN compares false with everything, so it is a violation of its own
@@ -435,12 +443,7 @@ def duality_chain_report(inst: ProblemInstance, tol: float = 1e-6) -> DualityRep
         f"grid={'x'.join(str(n) for n in inst.phi.grid_sizes)}"
     )
     return DualityReport(
-        val_P=v_p,
-        val_LP=v_lp,
-        val_LD=v_ld,
-        val_CD=v_cd,
-        val_CD_sym=v_sym,
-        val_ICD=v_icd,
+        **values,
         argmin_P=x_p,
         best_dual_elementary=phi_cd,
         gaps=gaps,

@@ -366,12 +366,13 @@ class PhiClass:
             return np.zeros(n), params
         return np.zeros(n), np.zeros((n, self.dim))
 
-    def symmetric_param_axes(self) -> list[np.ndarray]:
-        """Axes of the symmetric subclass {phi : -phi in class} (forces a = 0)."""
+    def symmetric_subclass(self) -> "PhiClass":
+        """The searched symmetric subclass {phi : -phi in class}: a >= 0 on
+        phi and -phi forces a = 0, so the affine kind on the v axes."""
         if self.kind == "constant-only":
-            return []
+            return self
         sizes = self.grid_sizes[1:] if self.kind == "lsc-quadratic" else self.grid_sizes
-        return [np.linspace(-self.v_max, self.v_max, n) for n in sizes]
+        return PhiClass("affine", self.dim, self.a_max, self.v_max, sizes)
 
     def member(self, params: Sequence[float], c: float = 0.0) -> Elementary:
         p = [float(x) for x in params]
@@ -616,6 +617,22 @@ def pieces(*specs: tuple) -> PiecewiseQuadratic:
 # ---------------------------------------------------------------------------
 
 
+class _BoxedTable:
+    """Evaluator of a table read from an instance document: `lookup` (with
+    a batch `values`) on the box, +inf outside it."""
+
+    def __init__(self, box: BoxDomain, lookup):
+        self.lookup, self.lower, self.upper = lookup, np.array(box.lower), np.array(box.upper)
+
+    def __call__(self, p: Point) -> float:
+        return float(self.values(np.array([p], dtype=float))[0])
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        inside = np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
+        return np.where(inside, self.lookup.values(pts), INF)
+
+
 class _TableOffset:
     """x -> s*h(x) + qa*|x|^2 + <qb, x> + qc for a table h and s = +1 or -1,
     per point or batched."""
@@ -642,7 +659,9 @@ class TabulatedFunction:
     values the per-point calls would return; grid sweeps then make one call
     instead of N.  Sups of (quadratic - h) are grid oracles on the working
     box: a grid maximum, locally refined and guarded by the expanding-box
-    divergence sentinel when the sup runs over the whole space.
+    divergence sentinel when the sup runs over the whole space.  A table read
+    from an instance document is +inf outside its box (`_BoxedTable`), so
+    every sup over it, or over its shifts, stays on the grid.
     """
 
     box: BoxDomain
@@ -682,6 +701,10 @@ class TabulatedFunction:
         """h at the grid points of `box` (read-only)."""
         return self.grid_values if box == self.box else values_on_grid(self, box)
 
+    def _on_grid(self) -> bool:
+        ev = self.evaluator
+        return isinstance(ev, _BoxedTable) or (isinstance(ev, _TableOffset) and ev.tab._on_grid())
+
     def _offsets_on_grid(self, qa: np.ndarray, qb: np.ndarray, box: BoxDomain) -> np.ndarray:
         """qa*|x|^2 + <qb, x> - h(x), one row per (qa, qb) row, one column per grid point."""
         return quadratic_rows(qa, qb, box.grid().points) - self._values_on(box)
@@ -696,15 +719,15 @@ class TabulatedFunction:
     ) -> tuple[float, Optional[Point]]:
         """sup of (qa*|x|^2 + <qb, x> + qc) - h(x) and an attaining point.
 
-        The grid maximum on `box`.  Without `restrict` the maximum is refined
-        locally and replaced by +inf when the divergence sentinel fires on
-        expanding boxes.
+        The grid maximum on `box`.  Without `restrict` (and off a file table,
+        see the class docstring) the maximum is refined locally and replaced
+        by +inf when the divergence sentinel fires on expanding boxes.
         """
         qb = as_point(qb)
         row = self._offsets_on_grid(np.array([qa]), np.array([qb]), box)[0]
         v, p = sup_on_grid(None, box.grid(), values=row)
         v += qc
-        if restrict:
+        if restrict or self._on_grid():
             return v, p
         h = _TableOffset(self, -1.0, qa, qb, qc)
         if p is not None and is_finite(v):

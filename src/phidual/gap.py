@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import INF, NEG_INF, BoxDomain, Point, ext_to_json, is_finite
-from .conjugation import phi_conjugate
-from .duality import ProblemInstance, _dual_table, val_lagrangian_primal, val_primal
+from .conjugation import _sweep_and_refine, phi_conjugate
+from .duality import ProblemInstance, _members_by_dual_value
 from .functions import (
     Elementary,
     ProperFunction,
@@ -201,15 +201,13 @@ def support_candidates(
     return cands
 
 
-def _default_psi_candidates(inst: ProblemInstance, budget: int) -> list[Elementary]:
-    params, d = _dual_table(inst)
-    order = np.argsort(-d, kind="stable")
-    out = []
-    for i in order[:budget]:
-        if d[i] == NEG_INF:
-            break
-        out.append(inst.phi.member(tuple(params[i])))
-    return out
+def _support_pairs(inst: ProblemInstance, pairs, alpha: float, support_points: int):
+    """(psi1, psi2, s1, s2) for every pair and every two support candidates."""
+    for psi1, psi2 in pairs:
+        cands1 = support_candidates(inst, psi1, alpha, support_points)
+        cands2 = support_candidates(inst, psi2, alpha, support_points)
+        for s1, s2 in itertools.product(cands1, cands2):
+            yield psi1, psi2, s1, s2
 
 
 def certify_zero_gap_via_intersection(
@@ -227,44 +225,27 @@ def certify_zero_gap_via_intersection(
     `support_candidates`.  The first pair passing the lemma-form check wins;
     exhausting the budget yields an inconclusive (never negative) outcome.
     """
-    v_lp = val_lagrangian_primal(inst)
+    v_lp = inst.lagrangian_primal[0]
     for alpha in alphas:
         if alpha >= v_lp:
             raise ValueError(
                 f"alpha={alpha} must be below the Lagrangian primal value {v_lp}"
             )
     if pairs is None:
-        psis = _default_psi_candidates(inst, psi_budget)
+        psis = _members_by_dual_value(inst, psi_budget)
         pairs = [(p1, p2) for p1 in psis for p2 in psis]
     results = []
     for alpha in alphas:
-        found = None
-        checks = 0
-        for psi1, psi2 in pairs:
-            if found or checks >= check_budget:
+        found, checks = None, 0
+        for psi1, psi2, s1, s2 in itertools.islice(
+            _support_pairs(inst, pairs, alpha, support_points), check_budget
+        ):
+            checks += 1
+            cert = check_intersection_property(s1, s2, alpha, inst.box)
+            if cert.holds:
+                found = (cert, psi1, psi2, s1, s2)
                 break
-            cands1 = support_candidates(inst, psi1, alpha, support_points)
-            cands2 = support_candidates(inst, psi2, alpha, support_points)
-            for s1 in cands1:
-                if found or checks >= check_budget:
-                    break
-                for s2 in cands2:
-                    checks += 1
-                    cert = check_intersection_property(s1, s2, alpha, inst.box)
-                    if cert.holds:
-                        found = (cert, psi1, psi2, s1, s2)
-                        break
-                    if checks >= check_budget:
-                        break
-        if found:
-            cert, psi1, psi2, s1, s2 = found
-            results.append(
-                AlphaCertificate(alpha, True, cert, psi1, psi2, s1, s2, checks)
-            )
-        else:
-            results.append(
-                AlphaCertificate(alpha, False, None, None, None, None, None, checks)
-            )
+        results.append(AlphaCertificate(alpha, bool(found), *(found or (None,) * 5), checks))
     return results
 
 
@@ -324,8 +305,10 @@ def check_bui_condition(
 
     Zero-sum pairs in these classes are affine (quadratic parts of a pair
     summing to zero must both vanish), so the search runs over the linear
-    coefficient v and the grid of x_bar; constants cancel and stay 0.  Found
-    witnesses are re-verified through `is_eps_subgradient`.
+    coefficient v and the grid of x_bar; constants cancel and stay 0.  When
+    some eps has no witness on the v grid, the grid gains one v, refined from
+    the row needing the least eps.  Found witnesses are re-verified through
+    `is_eps_subgradient`.
     """
     if not (inst.phi.contains_zero and inst.phi.additive):
         raise UnsupportedClassError(
@@ -333,28 +316,38 @@ def check_bui_condition(
         )
     if any(eps < 0 for eps in eps_list):
         raise ValueError("eps values must be >= 0")
-    axes = inst.phi.symmetric_param_axes()
-    if axes:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vs = np.column_stack([m.ravel() for m in mesh])
-    else:
-        vs = np.zeros((1, inst.phi.dim))
-    m_g = _pair_margins(inst.g, inst.box, vs, +1.0)  # inf(g - <v, x>)
-    m_f = _pair_margins(inst.f, inst.box, vs, -1.0)  # inf(f + <v, x>)
-    pts = inst.box.grid().points
+    sub, pts = inst.phi.symmetric_subclass(), inst.box.grid().points
     gv = values_on_grid(inst.g.rep, inst.box)
     fv = values_on_grid(inst.f.rep, inst.box)
-    vx = vs @ pts.T  # (Nv, M)
-    per = []
+
+    def margins(rows: np.ndarray) -> tuple:
+        """v, g - <v, x>, inf(g - <v, .>), f + <v, x>, inf(f + <v, .>) per row."""
+        vs = sub.split_params(rows)[1]
+        vx = vs @ pts.T  # (Nv, M)
+        m_g = _pair_margins(inst.g, inst.box, vs, +1.0)[:, None]
+        m_f = _pair_margins(inst.f, inst.box, vs, -1.0)[:, None]
+        return vs, gv[None, :] - vx, m_g, fv[None, :] + vx, m_f
+
+    def first_hit(m: tuple, eps: float):
+        vs, gx, m_g, fx, m_f = m
+        hit = np.argwhere((gx <= (m_g + eps + tol)) & (fx <= (m_f + eps + tol)))
+        return (vs[hit[0, 0]], pts[hit[0, 1]]) if hit.size else None
+
+    def minus_least_eps(m: tuple) -> np.ndarray:
+        return -np.min(np.maximum(m[1] - m[2], m[3] - m[4]), axis=1)
+
+    params = sub.param_grid()
+    m, per = margins(params), []
     for eps in eps_list:
-        ok = ((gv[None, :] - vx) <= (m_g[:, None] + eps + tol)) & (
-            (fv[None, :] + vx) <= (m_f[:, None] + eps + tol)
-        )
-        hit = np.argwhere(ok)
-        if hit.size:
-            iv, ix = int(hit[0, 0]), int(hit[0, 1])
-            phi = Elementary(0.0, tuple(vs[iv]), 0.0)
-            x_bar = tuple(float(c) for c in pts[ix])
+        hit = first_hit(m, eps)
+        if hit is None and len(m[0]) == len(params):
+            # no witness on the v grid: add v refined from the row needing the least eps
+            _, p = _sweep_and_refine(lambda r: minus_least_eps(margins(r)), sub, params, minus_least_eps(m))
+            m = m if p is None else tuple(map(np.concatenate, zip(m, margins(np.array([p])))))
+            hit = first_hit(m, eps)
+        if hit:
+            phi = Elementary(0.0, tuple(hit[0]), 0.0)
+            x_bar = tuple(float(c) for c in hit[1])
             verified = (
                 is_eps_subgradient(inst.g, x_bar, phi, eps, inst.box).holds
                 and is_eps_subgradient(inst.f, x_bar, phi.negated(), eps, inst.box).holds
@@ -430,10 +423,11 @@ def theorem_bridge_report(
     intersection search that comes back inconclusive never contradicts
     anything (it is truncated); the only hard contradiction is a certified
     intersection with a failed sum condition while every backward hypothesis
-    holds.
+    holds.  val(P) and val(LP) are the instance's shared values, the ones
+    `duality_chain_report` reports.
     """
-    v_p, _ = val_primal(inst)
-    v_lp = val_lagrangian_primal(inst)
+    v_p = inst.primal[0]
+    v_lp = inst.lagrangian_primal[0]
     eq = is_finite(v_lp) and is_finite(v_p) and abs(v_p - v_lp) <= equality_tol
     sum_cond = check_bui_condition(inst, eps_list)
     notes = []

@@ -20,10 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INF, NEG_INF, Point, as_point, ext_to_json, is_finite
+from .core import INF, NEG_INF, Point, as_point, ext_to_json, is_finite, refine_extremum
 from .conjugation import biconjugate, phi_conjugate
-from .duality import ProblemInstance, _dual_table, val_primal
-from .functions import Elementary, UnsupportedClassError
+from .duality import (
+    ProblemInstance,
+    _members_by_dual_value,
+    _primal_objective,
+    objective_values,
+)
+from .functions import Elementary, ProperFunction, UnsupportedClassError
 from .subdifferential import SubgradientCertificate, is_dual_subgradient, is_subgradient
 
 CONVEXITY_CHECK_TOL = 1e-4
@@ -73,24 +78,26 @@ class KktCertificate:
         }
 
 
-def _convexity_gaps(inst: ProblemInstance, x_star: Point) -> tuple[float, float]:
-    gf = abs(inst.f(x_star) - biconjugate(inst.f, x_star, inst.phi, inst.box))
-    gg = abs(inst.g(x_star) - biconjugate(inst.g, x_star, inst.phi, inst.box))
-    return gf, gg
-
-
-def _finish(
+def _certify(
     inst: ProblemInstance,
     variant: str,
     x_star: Point,
     phi_star: Elementary,
-    cond1: SubgradientCertificate,
-    cond2: SubgradientCertificate,
-    primal: float,
-    dual: float,
+    f1: ProperFunction,
+    neg: Elementary,
     tol: float,
 ) -> KktCertificate:
-    gf, gg = _convexity_gaps(inst, x_star)
+    """Condition 1: `neg` is a subgradient of f1 (f, or the shifted f~) at
+    x*; condition 2: x* is a dual subgradient of g* at phi*.  Dual value:
+    -f1*(neg) - g*(phi*)."""
+    cond1 = is_subgradient(f1, x_star, neg, inst.box)
+    cond2 = is_dual_subgradient(inst.g, x_star, phi_star, inst.phi, inst.box)
+    primal = inst.f(x_star) + inst.g(x_star)
+    fstar = phi_conjugate(f1, neg, inst.box).value
+    gstar = phi_conjugate(inst.g, phi_star, inst.box).value
+    dual = NEG_INF if (fstar == INF or gstar == INF) else -fstar - gstar
+    gf = abs(inst.f(x_star) - biconjugate(inst.f, x_star, inst.phi, inst.box))
+    gg = abs(inst.g(x_star) - biconjugate(inst.g, x_star, inst.phi, inst.box))
     optimal = (
         cond1.holds
         and cond2.holds
@@ -125,14 +132,7 @@ def verify_kkt_symmetric(
         raise UnsupportedClassError("symmetric-form KKT needs a symmetric class")
     inst.phi.require_member(phi_star)
     x_star = as_point(x_star)
-    neg = phi_star.negated()
-    cond1 = is_subgradient(inst.f, x_star, neg, inst.box)
-    cond2 = is_dual_subgradient(inst.g, x_star, phi_star, inst.phi, inst.box)
-    primal = inst.f(x_star) + inst.g(x_star)
-    fstar = phi_conjugate(inst.f, neg, inst.box).value
-    gstar = phi_conjugate(inst.g, phi_star, inst.box).value
-    dual = NEG_INF if (fstar == INF or gstar == INF) else -fstar - gstar
-    return _finish(inst, "symmetric", x_star, phi_star, cond1, cond2, primal, dual, tol)
+    return _certify(inst, "symmetric", x_star, phi_star, inst.f, phi_star.negated(), tol)
 
 
 def verify_kkt_lsc(
@@ -148,17 +148,9 @@ def verify_kkt_lsc(
         raise UnsupportedClassError("lsc-form KKT needs the lsc-quadratic class")
     inst.phi.require_member(phi_star)
     x_star = as_point(x_star)
-    a_star = phi_star.a
-    w_star = phi_star.v
-    f_shift = inst.f.shifted(a_star)
-    neg_w = Elementary(0.0, tuple(-w for w in w_star), 0.0)
-    cond1 = is_subgradient(f_shift, x_star, neg_w, inst.box)
-    cond2 = is_dual_subgradient(inst.g, x_star, phi_star, inst.phi, inst.box)
-    primal = inst.f(x_star) + inst.g(x_star)
-    fstar = phi_conjugate(f_shift, neg_w, inst.box).value
-    gstar = phi_conjugate(inst.g, phi_star, inst.box).value
-    dual = NEG_INF if (fstar == INF or gstar == INF) else -fstar - gstar
-    return _finish(inst, "lsc", x_star, phi_star, cond1, cond2, primal, dual, tol)
+    f_shift = inst.f.shifted(phi_star.a)
+    neg_w = Elementary(0.0, tuple(-w for w in phi_star.v), 0.0)
+    return _certify(inst, "lsc", x_star, phi_star, f_shift, neg_w, tol)
 
 
 def verify_kkt(
@@ -172,10 +164,7 @@ def verify_kkt(
 
 def _minimizer_candidates(inst: ProblemInstance, limit: int = 6) -> list[Point]:
     """Refined local minimizers of f + g on the grid, best first."""
-    from .duality import objective_values, _primal_objective
-    from .core import refine_extremum
-
-    v, p = val_primal(inst)
+    v, p = inst.grid_primal
     cands: list[tuple[float, Point]] = []
     if p is not None:
         cands.append((v, p))
@@ -210,13 +199,7 @@ def search_kkt_pair(
     xs = _minimizer_candidates(inst)
     if not xs:
         return None
-    params, d = _dual_table(inst)
-    order = np.argsort(-d, kind="stable")
-    phis = []
-    for i in order:
-        if d[i] == NEG_INF or len(phis) >= max(1, budget // len(xs)):
-            break
-        phis.append(inst.phi.member(tuple(params[i])))
+    phis = _members_by_dual_value(inst, max(1, budget // len(xs)))
     tried = 0
     for x in xs:
         if inst.f(x) + inst.g(x) == INF:

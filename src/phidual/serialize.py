@@ -12,13 +12,14 @@ Instance documents are JSON objects with fixed field names:
     }
 
 Infinities are encoded as the strings "+inf" / "-inf" everywhere (JSON has no
-infinities).  Tabulated values follow the box grid enumeration order and
-are read by `NearestLookup`: a point takes the value of its nearest grid
-point, a coordinate halfway between two grid points takes the lower one, and
-a coordinate outside the box takes the nearest end point (the table extends
-as a constant outside its box).  NaN values are rejected.  Reports are
-emitted with sorted keys and floats rounded to 12 significant digits, so
-identical invocations produce byte-identical output.
+infinities).  Tabulated values follow the box grid enumeration order.  A
+point in the box takes the value of its nearest grid point (`NearestLookup`:
+a coordinate halfway between two grid points takes the lower one); a point
+outside the box is +inf, so the table is the function it describes, on its
+box.  Every sup over such a table stays on its grid, including the
+unrestricted ones of conjugates (see `TabulatedFunction`).  NaN values are
+rejected.  Reports are emitted with sorted keys and floats rounded to 12
+significant digits, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .functions import (
     ProperFunction,
     QuadraticPiece,
     TabulatedFunction,
+    _BoxedTable,
 )
 
 
@@ -208,7 +210,7 @@ def _parse_function(doc: dict, box: BoxDomain, fallback_label: str) -> ProperFun
             )
         values = np.array([ext_from_json(v) for v in raw], dtype=float)
         try:
-            tab = TabulatedFunction(box, NearestLookup(box, values), label)
+            tab = TabulatedFunction(box, _BoxedTable(box, NearestLookup(box, values)), label)
         except ValueError as exc:
             raise InstanceFormatError(str(exc)) from exc
         return ProperFunction.from_tabulated(tab)

@@ -21,13 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INF, NEG_INF, BatchObjective, BoxDomain, Point, as_point, is_finite
+from .core import INF, NEG_INF, BoxDomain, Point, as_point, is_finite
 from .conjugation import (
+    _sweep_and_refine,
     biconjugate,
     conjugate_table,
     conjugates_at_params,
     phi_conjugate,
-    refine_in_params,
 )
 from .functions import Elementary, PhiClass, ProperFunction
 
@@ -139,32 +139,21 @@ def is_dual_subgradient(
         raise ValueError("f*(phi_bar) must be finite for the dual-side test")
     base = phi_bar(x_bar) - fstar_bar
     table = conjugate_table(f, phi_class, box, "right")
-    params = table.params
-    a, v = phi_class.split_params(params)
+    a, v = phi_class.split_params(table.params)
     sq = sum(c * c for c in x_bar)
     viol = -a * sq + v @ np.asarray(x_bar) - base - table.values
-    i = int(np.argmax(viol))
-    worst = float(viol[i])
-    worst_p = tuple(params[i]) if params.shape[1] else ()
 
-    if params.shape[1] and worst > NEG_INF:
+    def objective(rows: np.ndarray) -> np.ndarray:
+        fs = conjugates_at_params(f, phi_class, box, rows, "right")
+        phix = phi_class.member_values(rows, x_bar)
+        return np.where(fs == INF, NEG_INF, phix - base - fs)
 
-        def objective(rows: np.ndarray) -> np.ndarray:
-            fs = conjugates_at_params(f, phi_class, box, rows, "right")
-            phix = phi_class.member_values(rows, x_bar)
-            return np.where(fs == INF, NEG_INF, phix - base - fs)
-
-        ref_v, ref_p = refine_in_params(
-            BatchObjective(objective), phi_class, worst_p, refine_rounds
-        )
-        if ref_v > worst:
-            worst, worst_p = ref_v, ref_p
-
+    worst, worst_p = _sweep_and_refine(objective, phi_class, table.params, viol, refine_rounds)
     holds = worst <= tol
     return SubgradientCertificate(
         holds=holds,
         worst_violation=worst,
-        witness=None if holds else tuple(worst_p),
+        witness=None if holds else worst_p,
     )
 
 

@@ -85,24 +85,28 @@ def test_traced_analyses_equal_untraced_bit_for_bit():
     the batched objective, so the traced run takes the per-candidate path;
     both paths must give the same outputs, on a catalog entry and on its
     401-point tabulated twin (where `phi_conjugate` is unrestricted, with
-    refinement and sentinel)."""
+    refinement and sentinel).  Each run gets instances of its own: an
+    instance keeps the values its analyses share, and the traced run must
+    compute them itself."""
     import phidual as pd
     from phidual.serialize import NearestLookup
 
     entry = pd.get_entry("example-6.1")
-    inst = entry.build()
-    box = pd.BoxDomain(inst.box.lower, inst.box.upper, (401,))
+    box = pd.BoxDomain(entry.default_box.lower, entry.default_box.upper, (401,))
 
     def twin(f):
         table = NearestLookup(box, f.values(box.grid().points))
         return pd.ProperFunction.from_tabulated(pd.TabulatedFunction(box, table, f.label))
 
-    instances = [inst, pd.ProblemInstance(twin(inst.f), twin(inst.g), box, inst.phi)]
-    untraced = [_exact(_analyses(pd, entry, i)) for i in instances]
+    def instances():
+        inst = entry.build()
+        return [inst, pd.ProblemInstance(twin(inst.f), twin(inst.g), box, inst.phi)]
+
+    untraced = [_exact(_analyses(pd, entry, i)) for i in instances()]
     tracer = LT.Tracer(LT.CacheStats())
     tracer.install()
     try:
-        traced = [_exact(_analyses(pd, entry, i)) for i in instances]
+        traced = [_exact(_analyses(pd, entry, i)) for i in instances()]
     finally:
         tracer.restore()
     assert traced == untraced

@@ -261,3 +261,58 @@ def test_cli_gap_analyze_rejects_bad_lists(capsys):
     assert main(["gap-analyze", "--catalog", "fenchel-quadratic",
                  "--eps-list=-1"]) == 1
     assert ">= 0" in capsys.readouterr().err
+
+
+def _motivation_doc():
+    """A convex pair on which the bridge once reported a lower val(LP) than
+    the chain, and hence a false primal-biconjugate equality."""
+
+    def pw(lo, hi, a2, a1, a0):
+        return {"type": "piecewise-quadratic", "pieces": [{"interval": [lo, hi], "coeffs": [a2, a1, a0]}]}
+
+    return {
+        "dimension": 1,
+        "f": pw(-4.0, 5.0, 2.0, -1.2751546394263742, 1.327435133028918),
+        "g": pw("-inf", "+inf", 1.0, -0.8660712073486767, -0.31704933680946423),
+        "box": {"lower": [-10.0], "upper": [10.0], "samples": [2001]},
+        "phi": {"kind": "affine", "a_max": 8.0, "v_max": 32.0, "grid": [65]},
+    }
+
+
+def _table_2d_doc():
+    """f = (x - 0.5)^2 + 2y^2 and g = (x^2 + y^2)/2 - x on x + y >= -1,
+    tabulated on a 41 x 41 grid of [-2, 2]^2, affine class on 9 x 9."""
+    import numpy as np
+
+    ax = np.linspace(-2.0, 2.0, 41)
+    x, y = (m.ravel() for m in np.meshgrid(ax, ax, indexing="ij"))
+    g = np.where(x + y >= -1.0, (x * x + y * y) / 2.0 - x, math.inf)
+    return {
+        "dimension": 2,
+        "f": {"type": "tabulated", "table": {"values": ((x - 0.5) ** 2 + 2.0 * y * y).tolist()}},
+        "g": {"type": "tabulated", "table": {"values": ["+inf" if math.isinf(v) else v for v in g]}},
+        "box": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0], "samples": [41, 41]},
+        "phi": {"kind": "affine", "a_max": 4.0, "v_max": 8.0, "grid": [9, 9]},
+    }
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["motivation", "table-2d", "cone-indicator-1d", "example-6.1", "fenchel-quadratic",
+     "gap-instance", "kkt-example"],
+)
+def test_cli_gap_analyze_reports_one_val_lp(tmp_path, source):
+    docs = {"motivation": _motivation_doc, "table-2d": _table_2d_doc}
+    if source in docs:
+        args = ["--instance", _write_instance(tmp_path, docs[source]())]
+    else:
+        args = ["--catalog", source]
+    out = tmp_path / "gap.json"
+    assert main(["gap-analyze", *args, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    ga = doc["gap_analysis"]
+    assert ga["val_LP"] == doc["values"]["val_LP"]
+    assert ga["val_P"] == doc["values"]["val_P"]
+    if source == "motivation":
+        assert ga["primal_biconjugate_equality"] is True
+        assert ga["condition_sum"] and not ga["contradiction"]

@@ -272,3 +272,29 @@ def test_nan_value_breaks_the_chain(monkeypatch):
     report = duality_chain_report(inst)
     assert not report.chain_ok
     assert "val_P is NaN" in report.violations
+
+
+def test_analyses_of_one_instance_share_its_values(monkeypatch):
+    import phidual.duality as duality
+    from phidual import theorem_bridge_report
+
+    calls = {"val_primal": 0, "_lagrangian_primal_search": 0}
+    for name in calls:
+        original = getattr(duality, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(duality, name, counted)
+    inst = get_entry("gap-instance").build()
+    bridge = theorem_bridge_report(inst)
+    chain = duality_chain_report(inst)
+    assert calls == {"val_primal": 1, "_lagrangian_primal_search": 1}
+    assert (bridge.val_P, bridge.val_LP) == (chain.val_P, chain.val_LP)
+    assert val_lagrangian_primal(inst) == chain.val_LP
+    # the values live on the instance object: an equal one computes them anew
+    again = ProblemInstance(inst.f, inst.g, inst.box, inst.phi)
+    assert again == inst
+    assert duality_chain_report(again).values() == chain.values()
+    assert calls == {"val_primal": 2, "_lagrangian_primal_search": 2}
