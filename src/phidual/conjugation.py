@@ -108,9 +108,6 @@ class ConjugateTable:
     side: str  # "right" | "left"
     method: str
 
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
 
 def conjugates_at_params(
     f: ProperFunction,

@@ -36,7 +36,6 @@ from .core import (
     Point,
     as_point,
     ext_to_json,
-    extremum_on_box,
     inf_on_grid,
     is_finite,
     refine_extremum,
@@ -58,6 +57,7 @@ from .functions import (
     PhiClass,
     ProperFunction,
     UnsupportedClassError,
+    quad_inf_on_interval,
     values_on_grid,
 )
 
@@ -91,8 +91,8 @@ class ProblemInstance:
         return GRID_ORACLE
 
     @cached_property
-    def grid_primal(self) -> tuple[float, Optional[Point]]:
-        """`val_primal`: the grid inf of f + g, refined around its minimizer."""
+    def primal(self) -> tuple[float, Optional[Point]]:
+        """`val_primal`: val(P) and its minimizer."""
         return val_primal(self)
 
     @cached_property
@@ -113,19 +113,10 @@ class ProblemInstance:
     @cached_property
     def lagrangian_primal(self) -> tuple[float, Optional[Point]]:
         """val(LP) and its witness: both dual winners join the g** family and
-        the grid minimizer of f + g is one more candidate point."""
+        the minimizer of f + g is one more candidate point, so val(LP) <=
+        val(P) holds by construction."""
         extras = tuple(p for p in (self.dual[1], self.symmetric_dual[1]) if p is not None)
-        x_p = self.grid_primal[1]
-        return _lagrangian_primal_search(self, extras, (x_p,) if x_p else ())
-
-    @cached_property
-    def primal(self) -> tuple[float, Optional[Point]]:
-        """val(P) and its minimizer: the grid primal, or the val(LP) witness
-        where f + g is lower."""
-        v_p, x_p = self.grid_primal
-        x_lp = self.lagrangian_primal[1]
-        v_lp = INF if x_lp is None else self.f(x_lp) + self.g(x_lp)
-        return (v_lp, x_lp) if v_lp < v_p else (v_p, x_p)
+        return _lagrangian_primal_search(self, extras, self.primal[1])
 
 
 @lru_cache(maxsize=128)
@@ -182,22 +173,43 @@ def lagrangian(inst: ProblemInstance, x, phi: Elementary) -> float:
 
 
 def val_primal(inst: ProblemInstance) -> tuple[float, Optional[Point]]:
-    """inf of f + g on the grid, refined around the first minimizer.
+    """inf of f + g on the box and its first minimizer (`_primal_minima`):
+    exact on the closed-form path, the grid minimum when a member is
+    tabulated, which pins every quantifier of the instance to the grid.
 
-    Off-grid refinement only applies on the closed-form path: a tabulated
-    member pins every quantifier of the instance to the grid, keeping primal
-    and dual values comparable.
+    Computes afresh on each call; the analyses read the instance's memo
+    (`ProblemInstance.primal`).
     """
-    vals = objective_values(inst.f, inst.g, inst.box)
-    rounds = 25 if inst.method == CLOSED_FORM else 0
-    return extremum_on_box(
-        _primal_objective(inst), inst.box, kind="inf", values=vals, rounds=rounds
-    )
+    return _primal_minima(inst, 1)[0]
 
 
-def _primal_objective(inst: ProblemInstance) -> BatchObjective:
-    """x -> f(x) + g(x) at every row of an (N, dim) array of points."""
-    return BatchObjective(lambda points: inst.f.values(points) + inst.g.values(points))
+def _primal_minima(inst: ProblemInstance, limit: int) -> list[tuple[float, Point]]:
+    """Up to `limit` local minima of f + g on the box as (value, point)
+    pairs, best first, ties leftmost.
+
+    Closed form: f + g is one piecewise quadratic, and each of its pieces
+    gives its minimizer clamped to the box, valued as f(x) + g(x).  Grid
+    oracle: the grid's local minima in 1D, the grid argmin in 2D, valued
+    from `objective_values`.
+    """
+    if inst.method == CLOSED_FORM:
+        (lo,), (hi,) = inst.box.lower, inst.box.upper
+        xs = np.unique([
+            quad_inf_on_interval(p.a2, p.a1, p.a0, max(p.lo, lo), min(p.hi, hi))[1] + 0.0
+            for p in (inst.f.rep + inst.g.rep).pieces if max(p.lo, lo) <= min(p.hi, hi)
+        ])[:, None]
+        vals = inst.f.values(xs) + inst.g.values(xs)
+        idx = np.arange(len(xs))
+    else:
+        xs = inst.box.grid().points
+        vals = objective_values(inst.f, inst.g, inst.box)
+        if inst.box.dim == 1:
+            nbr = np.concatenate(([INF], vals, [INF]))
+            idx = np.flatnonzero(np.isfinite(vals) & (vals <= nbr[:-2]) & (vals <= nbr[2:]))
+        else:
+            idx = np.argmin(vals)[None]
+    order = idx[np.argsort(vals[idx], kind="stable")][:limit]
+    return [(float(vals[i]), tuple(float(c) for c in xs[i])) for i in order]
 
 
 def dual_value_at(inst: ProblemInstance, phi: Elementary) -> float:
@@ -222,6 +234,8 @@ def val_lagrangian_dual(
 
     Infeasible parameters (infinite conjugates) contribute -inf and are
     thereby skipped; the winner is refined inside the parameter box.
+    Computes afresh on each call; the analyses read the instance's memo
+    (`ProblemInstance.dual`).
     """
 
     def objective(rows: np.ndarray) -> np.ndarray:
@@ -251,6 +265,8 @@ def val_cd_sym(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
 
     For the lsc-quadratic kind the constraint a >= 0 on both phi and -phi
     forces a = 0, so the sweep always runs over the affine subfamily.
+    Computes afresh on each call; the analyses read the instance's memo
+    (`ProblemInstance.symmetric_dual`).
     """
     sub = inst.phi.symmetric_subclass()
 
@@ -276,13 +292,14 @@ def val_icd(
     -f*(phi2) - g*(phi1).
 
     Zero-sum pairs force both members affine here (a1 + a2 = 0 with both
-    >= 0), so the sweep coincides with the symmetric-form one.
+    >= 0), so the sweep coincides with the symmetric-form one, and this
+    reads the instance's memo of it (`ProblemInstance.symmetric_dual`).
     """
     if not _icd_applies(inst.phi):
         raise UnsupportedClassError(
             "the infimal-convolution dual needs 0 in the class and additivity"
         )
-    val, phi1 = val_cd_sym(inst)
+    val, phi1 = inst.symmetric_dual
     if phi1 is None:
         return val, None
     return val, (phi1, phi1.negated())
@@ -291,11 +308,11 @@ def val_icd(
 def _lagrangian_primal_search(
     inst: ProblemInstance,
     extra_phis: tuple[Elementary, ...],
-    extra_points: tuple[Point, ...],
+    x_p: Optional[Point],
 ) -> tuple[float, Optional[Point]]:
     # g** <= g holds pointwise, so clamping by g is sound and keeps grid-sup
     # conjugates of tabulated functions from leaking above g between grid
-    # points (where the refined primal witness may live)
+    # points (where the exact primal minimizer `x_p` may live)
     bic = biconjugate_on_grid(inst.g, inst.phi, inst.box, extra_phis)
     if np.all(bic == NEG_INF):
         return NEG_INF, None
@@ -316,11 +333,8 @@ def _lagrangian_primal_search(
     m = BatchObjective(m_values)
     if inst.method == CLOSED_FORM:
         v, p = refine_extremum(m, inst.box, p, 25, kind="inf")
-    for q in extra_points:
-        mq = m(as_point(q))
-        if mq < v:
-            v, p = mq, as_point(q)
-    return v, p
+    m_p = INF if x_p is None else m(x_p)
+    return (m_p, x_p) if m_p < v else (v, p)
 
 
 def val_lagrangian_primal(inst: ProblemInstance) -> float:

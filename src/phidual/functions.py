@@ -500,6 +500,18 @@ class PiecewiseQuadratic:
                 val = min(val, p.poly(x))
         return val
 
+    def __add__(self, other: "PiecewiseQuadratic") -> "PiecewiseQuadratic":
+        """f + g: one piece per overlapping pair of pieces, coefficients added.
+
+        f(x) + g(x) is the minimum over the pairs whose intervals hold x, so
+        the lsc selection at shared endpoints carries over; pairs in (f piece,
+        g piece) order come out sorted.  Raises when the domains do not meet.
+        """
+        return PiecewiseQuadratic(tuple(
+            QuadraticPiece(max(p.lo, q.lo), min(p.hi, q.hi), p.a2 + q.a2, p.a1 + q.a1, p.a0 + q.a0)
+            for p in self.pieces for q in other.pieces if max(p.lo, q.lo) <= min(p.hi, q.hi)
+        ))
+
     def values(self, points: np.ndarray) -> np.ndarray:
         """Values at an (N, 1) array of points (or at N plain coordinates)."""
         xs = np.asarray(points, dtype=float).reshape(-1)

@@ -18,16 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .core import INF, NEG_INF, Point, as_point, ext_to_json, is_finite, refine_extremum
+from .core import INF, NEG_INF, Point, as_point, ext_to_json, is_finite
 from .conjugation import biconjugate, phi_conjugate
-from .duality import (
-    ProblemInstance,
-    _members_by_dual_value,
-    _primal_objective,
-    objective_values,
-)
+from .duality import ProblemInstance, _members_by_dual_value, _primal_minima
 from .functions import Elementary, ProperFunction, UnsupportedClassError
 from .subdifferential import SubgradientCertificate, is_dual_subgradient, is_subgradient
 
@@ -162,48 +155,25 @@ def verify_kkt(
     return verify_kkt_symmetric(inst, x_star, phi_star, tol)
 
 
-def _minimizer_candidates(inst: ProblemInstance, limit: int = 6) -> list[Point]:
-    """Refined local minimizers of f + g on the grid, best first."""
-    v, p = inst.grid_primal
-    cands: list[tuple[float, Point]] = []
-    if p is not None:
-        cands.append((v, p))
-    if inst.box.dim == 1:
-        vals = objective_values(inst.f, inst.g, inst.box)
-        grid = inst.box.grid()
-        finite = np.isfinite(vals)
-        left = np.roll(vals, 1)
-        right = np.roll(vals, -1)
-        left[0] = INF
-        right[-1] = INF
-        local = np.flatnonzero(finite & (vals <= left) & (vals <= right))
-        order = local[np.argsort(vals[local], kind="stable")]
-        h = _primal_objective(inst)
-        for i in order[: 2 * limit]:
-            lv, lp = refine_extremum(h, inst.box, grid.point(int(i)), 20, "inf")
-            if all(abs(lp[0] - c[1][0]) > 1e-6 for c in cands):
-                cands.append((lv, lp))
-    cands.sort(key=lambda c: (c[0], c[1]))
-    return [p for _, p in cands[:limit]]
-
-
 def search_kkt_pair(
     inst: ProblemInstance, budget: int = 128
 ) -> Optional[tuple[Point, Elementary, KktCertificate]]:
-    """Grid search for a certified optimal pair (x*, phi*).
+    """Search for a certified optimal pair (x*, phi*).
 
-    Primal candidates are refined local minimizers of f + g; dual candidates
-    are class parameters ranked by dual value.  Returns the first pair whose
-    certificate is optimal, or None once the budget is exhausted.
+    Primal candidates are the best local minima of f + g
+    (`_primal_minima`); dual candidates are the instance's val(CD) winner
+    followed by class parameters ranked by dual value.  Returns the first
+    pair whose certificate is optimal, or None once `budget` pairs have
+    been verified.
     """
-    xs = _minimizer_candidates(inst)
-    if not xs:
-        return None
-    phis = _members_by_dual_value(inst, max(1, budget // len(xs)))
+    xs = [x for _, x in _primal_minima(inst, 6)]
+    n = max(1, budget // len(xs))
+    phis = _members_by_dual_value(inst, n)
+    winner = inst.dual[1]
+    if winner is not None:
+        phis = [winner] + [phi for phi in phis if phi != winner][: n - 1]
     tried = 0
     for x in xs:
-        if inst.f(x) + inst.g(x) == INF:
-            continue
         for phi in phis:
             if tried >= budget:
                 return None

@@ -112,6 +112,24 @@ def test_search_returns_none_on_positive_gap():
     assert search_kkt_pair(get_entry("gap-instance").build(), budget=60) is None
 
 
+def test_search_tries_the_dual_winner_first():
+    # a kinked convex f plus a concave g; the exact minimizer -0.8459 and the
+    # refined val(CD) winner (a ~ 1.34, w = 0) lie off the searched grids, so
+    # no pair of grid members certifies within a budget of 8
+    f = proper_piecewise(
+        "f",
+        (-5.0, 1.0, 2.0, 1.1123217025728396, 1.5548352936566259),
+        (1.0, 4.0, 2.5, 1.1123217025728396, 1.0548352936566259),
+    )
+    g = proper_piecewise("g", (-INF, INF, -1.0, 0.579482778553428, -1.1479318164852486))
+    inst = ProblemInstance(f, g, box1d(), lsc_class())
+    found = search_kkt_pair(inst, budget=8)
+    assert found is not None
+    x, phi, cert = found
+    assert cert.optimal and (x, phi) == (inst.primal[1], inst.dual[1])
+    assert abs(cert.primal_value - dense_inf(lambda t: f(t) + g(t), -5.0, 4.0)[0]) <= 1e-6
+
+
 def test_conditions_imply_value_equality():
     # the substantive direction of the equivalence: wherever both conditions
     # hold, primal and dual values must match
