@@ -14,6 +14,7 @@ violation detected by dual-report, 3 kkt-verify conditions failed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -46,11 +47,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _floats(text: str, kind=float) -> list:
+    what = "integers" if kind is int else "finite numbers"
     try:
-        return [kind(t) for t in text.split(",") if t.strip()]
+        values = [kind(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
-        what = "integers" if kind is int else "numbers"
         raise CliError(f"expected comma-separated {what}, got {text!r}") from exc
+    if not all(math.isfinite(x) for x in values):
+        raise CliError(f"expected comma-separated {what}, got {text!r}")
+    return values
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -103,8 +107,8 @@ def _config(args) -> RunConfig:
             box = BoxDomain(lower, upper, (2001,) if dim == 1 else (201, 201))
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    if args.tol is not None and args.tol <= 0:
-        raise CliError("--tol must be positive")
+    if not 0.0 < args.tol < math.inf:
+        raise CliError("--tol must be finite and positive")
     return RunConfig(
         box=box,
         samples=tuple(_floats(args.grid, int)) if args.grid else None,

@@ -147,11 +147,14 @@ def refine_in_params(
 
     The halving search of `refine_extremum`, but in the truncated parameter
     box of the class (candidates are clipped to it), so refined winners remain
-    members of the searched family.  Each round's untried candidates are one
-    call of `objective.values(rows)` when the objective has that batch method
-    (an (N, n_params) array in, N values out, each as `objective(row)` would
-    give it; see `core.BatchObjective`); any other objective is called
-    candidate by candidate.  Both give the same value and parameters.
+    members of the searched family.  Each round evaluates the offset lattice
+    around the incumbent (5 offsets per axis up to 2 parameters, 3 beyond),
+    moves to its best candidate if that improves, and halves the radii.  A
+    round is one call of `objective.values(rows)` when the objective has that
+    batch method (an (N, n_params) array in, N values out, each as
+    `objective(row)` would give it; see `core.BatchObjective`); any other
+    objective is called candidate by candidate, with the same value and
+    parameters as the result.
     """
     axes = phi_class.param_axes()
     if not axes:
@@ -165,19 +168,19 @@ def refine_in_params(
 
 
 def _sweep_and_refine(
-    values, phi_class: PhiClass, params: np.ndarray, sweep: np.ndarray, rounds: int = 20
+    values, phi_class: PhiClass, params: np.ndarray, sweep: np.ndarray
 ) -> tuple[float, Optional[tuple[float, ...]]]:
     """(value, parameters) of the best row of `sweep` (values at the rows of
-    `params`), refined by `refine_in_params` on the batch objective `values`
-    and replaced only when that is strictly larger; (-inf, None) when every
-    row is -inf."""
+    `params`), refined for 20 rounds by `refine_in_params` on the batch
+    objective `values` and replaced only when that is strictly larger;
+    (-inf, None) when every row is -inf."""
     i = int(np.argmax(sweep))
     best = float(sweep[i]), tuple(params[i])
     if best[0] == NEG_INF:
         return NEG_INF, None
     if params.shape[1] == 0:
         return best
-    val, p = refine_in_params(BatchObjective(values), phi_class, best[1], rounds)
+    val, p = refine_in_params(BatchObjective(values), phi_class, best[1])
     return (val, p) if val > best[0] else best
 
 
@@ -230,7 +233,6 @@ def biconjugate(
     x,
     phi_class: PhiClass,
     box: BoxDomain,
-    refine: bool = True,
 ) -> float:
     """f**(x) = sup over the truncated class of phi(x) - f*(phi).
 
@@ -240,8 +242,6 @@ def biconjugate(
     """
     x = as_point(x)
     scores = _minorant_scores(searched_family(f, phi_class, box), np.asarray([x]))[:, 0]
-    if not refine:
-        return float(scores[int(np.argmax(scores))])
 
     def objective(params: np.ndarray) -> np.ndarray:
         fstar = conjugates_at_params(f, phi_class, box, params, "right")

@@ -183,17 +183,19 @@ class Grid:
             yield tuple(float(c) for c in row)
 
 
-def _values_on_grid(h: Callable[[Point], float], grid: Grid) -> np.ndarray:
-    """h at every grid point.
+def _values_at(h: Callable[[Point], float], points: np.ndarray) -> np.ndarray:
+    """h at every row of an (N, dim) array of points.
 
-    One call of the batch method `h.values(grid.points)` when h has one
-    (elementary and proper functions, table lookups), which must return what
-    the per-point calls would; any other callable is called once per point.
+    One call of the batch method `h.values(points)` when h has one
+    (elementary and proper functions, table lookups, `BatchObjective`),
+    which must return what the per-point calls would; any other callable is
+    called once per row with a tuple of Python floats.
     """
     batch = getattr(h, "values", None)
     if batch is not None:
-        return np.asarray(batch(grid.points), dtype=float)
-    return np.array([h(tuple(row)) for row in grid.points], dtype=float)
+        return np.asarray(batch(points), dtype=float)
+    rows = np.asarray(points, dtype=float).tolist()
+    return np.array([h(tuple(row)) for row in rows], dtype=float)
 
 
 def sup_on_grid(
@@ -204,7 +206,7 @@ def sup_on_grid(
     Returns +inf iff some grid point evaluates to +inf.  -inf values are
     skipped; if every value is -inf the result is (-inf, None).
     """
-    vals = _values_on_grid(h, grid) if values is None else values
+    vals = _values_at(h, grid.points) if values is None else values
     i = int(np.argmax(vals))
     best = float(vals[i])
     if best == NEG_INF:
@@ -216,7 +218,7 @@ def inf_on_grid(
     h: Callable[[Point], float], grid: Grid, values: Optional[np.ndarray] = None
 ) -> tuple[float, Optional[Point]]:
     """Dual of sup_on_grid: +inf values are skipped unless all are +inf."""
-    vals = _values_on_grid(h, grid) if values is None else values
+    vals = _values_at(h, grid.points) if values is None else values
     i = int(np.argmin(vals))
     best = float(vals[i])
     if best == INF:
@@ -230,7 +232,8 @@ class BatchObjective:
     `values(rows)` maps an (N, k) array of candidates to their N values, and
     each row's value must not depend on which rows share the batch; calling
     the objective with one candidate evaluates a one-row batch, so both forms
-    give the same value bit for bit.
+    give the same value bit for bit.  A halving search makes one `values`
+    call per round (see `_halving_search`).
     """
 
     def __init__(self, values: Callable[[np.ndarray], np.ndarray]):
@@ -238,22 +241,6 @@ class BatchObjective:
 
     def __call__(self, p) -> float:
         return float(self.values(np.asarray([p], dtype=float))[0])
-
-
-def _evaluations(objective, rows: np.ndarray, sign: float) -> Iterator[float]:
-    """sign * objective at every row, in row order.
-
-    One call of the batch method `objective.values(rows)` when the objective
-    has one (the rule of `_values_on_grid`); any other callable is called
-    with one point tuple per row, lazily, so a consumer that stops early
-    makes no further calls.
-    """
-    batch = getattr(objective, "values", None)
-    if batch is not None:
-        yield from sign * np.asarray(batch(rows), dtype=float)
-    else:
-        for row in rows:
-            yield sign * objective(tuple(row.tolist()))
 
 
 def _halving_search(
@@ -268,34 +255,30 @@ def _halving_search(
 ) -> tuple[float, Point]:
     """Maximize sign * objective by local lattice search around `seed`.
 
-    Each round visits the offsets^k lattice (lexicographic) around the
-    incumbent, scaled by `radii` and clipped to [lower, upper]; the first
-    strict improvement becomes the incumbent, the rest of the lattice is
-    visited around it, and the radii halve after the round.  That is the
-    sequential point-by-point order; the untried part of the lattice is
-    evaluated as one batch (see `_evaluations`).  `seed` must lie in the
-    bounds.  Returns (objective value, point) of the incumbent.
+    The seed is evaluated as a one-row batch.  Each round then evaluates the
+    whole offsets^k lattice around the incumbent (lexicographic), scaled by
+    `radii` and clipped to [lower, upper], as one batch (see `_values_at`);
+    the incumbent moves to the first maximum of the batch when that is a
+    strict improvement, and the radii halve.  So a search makes 1 + rounds
+    batch calls.  `seed` must lie in the bounds.  Returns (objective value,
+    point) of the incumbent.
     """
     lattice = np.array(list(itertools.product(offsets, repeat=len(seed))), dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     steps = np.asarray(radii, dtype=float)
     best_p = np.asarray(seed, dtype=float)
-    best_v = next(_evaluations(objective, best_p[None, :], sign))
+    best_v = sign * _values_at(objective, best_p[None, :])[0]
     for _ in range(rounds):
-        k = 0
-        while k < len(lattice):
-            cands = best_p + lattice[k:] * steps
-            # min(max(c, lo), hi) per coordinate, as `BoxDomain.clip`
-            cands = np.where(lower > cands, lower, cands)
-            cands = np.where(upper < cands, upper, cands)
-            for j, v in enumerate(_evaluations(objective, cands, sign)):
-                if v > best_v:
-                    best_v, best_p = v, cands[j]
-                    k += j + 1
-                    break
-            else:
-                break
+        cands = best_p + lattice * steps
+        # min(max(c, lo), hi) per coordinate, as `BoxDomain.clip`
+        cands = np.where(lower > cands, lower, cands)
+        cands = np.where(upper < cands, upper, cands)
+        vals = sign * _values_at(objective, cands)
+        # the first maximum; a NaN value never counts as an improvement
+        j = int(np.argmax(np.where(vals > best_v, vals, NEG_INF)))
+        if vals[j] > best_v:
+            best_v, best_p = vals[j], cands[j]
         steps = steps / 2.0
     return float(sign * best_v), tuple(best_p.tolist())
 
@@ -310,11 +293,13 @@ def refine_extremum(
     """Local grid refinement around `seed`, halving the search cell each round.
 
     The returned value is >= (for sup; <= for inf) the seed evaluation and is
-    monotone in `rounds`.  The search never leaves the box.  Each round's
-    untried candidates are one call of `h.values(points)` when h has that
-    batch method (an (N, dim) array in, N values out, each as `h(point)`
-    would give it); any other h is called point by point.  Both visit the
-    candidates in the same order and return the same value and point.
+    monotone in `rounds`.  The search never leaves the box.  Each round
+    evaluates the 5^dim lattice of half and whole cell offsets around the
+    incumbent, moves to its best point if that improves, and halves the
+    cell (`_halving_search`).  A round is one call of `h.values(points)` when
+    h has that batch method (an (N, dim) array in, N values out, each as
+    `h(point)` would give it); any other h is called point by point, with
+    the same value and point as the result.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -368,7 +353,7 @@ def diverges_on_expanding_boxes(
     for k in range(rounds + 1):
         b = box if k == 0 else box.scaled(EXPANSION**k)
         grid = b.grid()
-        raw = sign * _values_on_grid(h, grid)
+        raw = sign * _values_at(h, grid.points)
         v = float(np.max(raw))
         if v == INF or v > cap:
             return True

@@ -227,9 +227,7 @@ def _dual_table(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     return lf.params, -lf.values - gs.values
 
 
-def val_lagrangian_dual(
-    inst: ProblemInstance, refine_rounds: int = 20
-) -> tuple[float, Optional[Elementary]]:
+def val_lagrangian_dual(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
     """sup over the truncated class of inf_x L(x, phi) = -*f(phi) - g*(phi).
 
     Infeasible parameters (infinite conjugates) contribute -inf and are
@@ -243,19 +241,24 @@ def val_lagrangian_dual(
         gs = conjugates_at_params(inst.g, inst.phi, inst.box, rows, "right")
         return np.where((lf == INF) | (gs == INF), NEG_INF, -lf - gs)
 
-    val, p = _sweep_and_refine(objective, inst.phi, *_dual_table(inst), refine_rounds)
+    val, p = _sweep_and_refine(objective, inst.phi, *_dual_table(inst))
     return val, None if p is None else inst.phi.member(p)
 
 
 def _members_by_dual_value(inst: ProblemInstance, limit: int) -> list[Elementary]:
-    """Up to `limit` members of the parameter grid by descending dual value
-    (ties in grid order), stopping before the first infeasible (-inf) one."""
+    """Up to `limit` members: the instance's val(CD) winner, then members of
+    the parameter grid by descending dual value (ties in grid order), the
+    winner's duplicate skipped, stopping before the first infeasible (-inf)
+    one."""
     params, d = _dual_table(inst)
-    out = []
-    for i in np.argsort(-d, kind="stable")[:limit]:
-        if d[i] == NEG_INF:
+    winner = inst.dual[1]
+    out = [] if winner is None else [winner]
+    for i in np.argsort(-d, kind="stable"):
+        if len(out) >= limit or d[i] == NEG_INF:
             break
-        out.append(inst.phi.member(tuple(params[i])))
+        phi = inst.phi.member(tuple(params[i]))
+        if phi != winner:
+            out.append(phi)
     return out
 
 

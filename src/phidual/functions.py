@@ -41,6 +41,7 @@ from .core import (
     ROW_CHUNK,
     BoxDomain,
     Point,
+    _values_at,
     as_point,
     diverges_on_expanding_boxes,
     dot,
@@ -302,8 +303,8 @@ class PhiClass:
             raise ValueError(f"unknown elementary class kind: {self.kind!r}")
         if self.dim not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
-        if self.a_max < 0 or self.v_max <= 0:
-            raise ValueError("truncation bounds must be positive")
+        if not (0.0 <= self.a_max < INF and 0.0 < self.v_max < INF):
+            raise ValueError("truncation bounds must be finite and positive")
         sizes = tuple(int(n) for n in self.grid_sizes)
         if not sizes:
             per_axis = 65 if self.dim == 1 else 17
@@ -704,10 +705,7 @@ class TabulatedFunction:
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Values at every row of an (N, dim) array (see the class docstring)."""
-        batch = getattr(self.evaluator, "values", None)
-        if batch is not None:
-            return np.asarray(batch(points), dtype=float)
-        return np.array([self(p) for p in points], dtype=float)
+        return _values_at(self.evaluator, points)
 
     def _values_on(self, box: BoxDomain) -> np.ndarray:
         """h at the grid points of `box` (read-only)."""

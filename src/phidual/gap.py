@@ -221,13 +221,15 @@ def certify_zero_gap_via_intersection(
     """Search, per level alpha < val(LP), for a certified intersection pair.
 
     Candidate slice parameters psi are taken from `pairs` when given (pinned
-    searches), otherwise ranked by dual value; support elements come from
+    searches), otherwise they are the instance's val(CD) winner followed by
+    members ranked by dual value (`_members_by_dual_value`), so the pair
+    (winner, winner) is tried first; support elements come from
     `support_candidates`.  The first pair passing the lemma-form check wins;
     exhausting the budget yields an inconclusive (never negative) outcome.
     """
     v_lp = inst.lagrangian_primal[0]
     for alpha in alphas:
-        if alpha >= v_lp:
+        if not alpha < v_lp:
             raise ValueError(
                 f"alpha={alpha} must be below the Lagrangian primal value {v_lp}"
             )
@@ -314,7 +316,7 @@ def check_bui_condition(
         raise UnsupportedClassError(
             "the sum condition needs 0 in the class and additivity"
         )
-    if any(eps < 0 for eps in eps_list):
+    if any(not eps >= 0 for eps in eps_list):
         raise ValueError("eps values must be >= 0")
     sub, pts = inst.phi.symmetric_subclass(), inst.box.grid().points
     gv = values_on_grid(inst.g.rep, inst.box)

@@ -162,16 +162,13 @@ def search_kkt_pair(
 
     Primal candidates are the best local minima of f + g
     (`_primal_minima`); dual candidates are the instance's val(CD) winner
-    followed by class parameters ranked by dual value.  Returns the first
-    pair whose certificate is optimal, or None once `budget` pairs have
-    been verified.
+    followed by class parameters ranked by dual value
+    (`_members_by_dual_value`).  Returns the first pair whose certificate
+    is optimal, or None once `budget` pairs have been verified.
     """
     xs = [x for _, x in _primal_minima(inst, 6)]
     n = max(1, budget // len(xs))
     phis = _members_by_dual_value(inst, n)
-    winner = inst.dual[1]
-    if winner is not None:
-        phis = [winner] + [phi for phi in phis if phi != winner][: n - 1]
     tried = 0
     for x in xs:
         for phi in phis:

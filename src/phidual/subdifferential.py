@@ -124,7 +124,6 @@ def is_dual_subgradient(
     phi_class: PhiClass,
     box: BoxDomain,
     tol: float = 1e-9,
-    refine_rounds: int = 20,
 ) -> SubgradientCertificate:
     """x_bar in the subdifferential of f* at phi_bar:
 
@@ -148,7 +147,7 @@ def is_dual_subgradient(
         phix = phi_class.member_values(rows, x_bar)
         return np.where(fs == INF, NEG_INF, phix - base - fs)
 
-    worst, worst_p = _sweep_and_refine(objective, phi_class, table.params, viol, refine_rounds)
+    worst, worst_p = _sweep_and_refine(objective, phi_class, table.params, viol)
     holds = worst <= tol
     return SubgradientCertificate(
         holds=holds,

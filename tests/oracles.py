@@ -7,8 +7,9 @@ against something that cannot share their bugs.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -18,9 +19,10 @@ from phidual import (
     PhiClass,
     ProblemInstance,
     ProperFunction,
+    ext_to_json,
     proper_piecewise,
 )
-from phidual.core import BatchObjective, Point, as_point, extremum_on_box
+from phidual.core import BatchObjective, Point, extremum_on_box
 from phidual.duality import objective_values
 from phidual.functions import CLOSED_FORM
 
@@ -178,8 +180,40 @@ def random_instance(rng: np.random.Generator, samples=501, phi_grid=33) -> Probl
             continue
 
 
+def twin_document(inst: ProblemInstance, samples: int = 401) -> dict:
+    """The instance document of a 1D instance's tabulated twin: f and g
+    sampled on `samples` points of the instance's box, same class."""
+    (lo,), (hi,) = inst.box.lower, inst.box.upper
+    box = BoxDomain((lo,), (hi,), (samples,))
+    p = inst.phi
+    doc = {
+        "dimension": 1,
+        "box": {"lower": [lo], "upper": [hi], "samples": [samples]},
+        "phi": {"kind": p.kind, "a_max": p.a_max, "v_max": p.v_max, "grid": list(p.grid_sizes)},
+    }
+    for key, fn in (("f", inst.f), ("g", inst.g)):
+        values = fn.values(box.grid().points)
+        doc[key] = {"type": "tabulated", "table": {"values": [ext_to_json(v) for v in values]}}
+    return doc
+
+
+def table_2d_doc() -> dict:
+    """f = (x - 0.5)^2 + 2y^2 and g = (x^2 + y^2)/2 - x on x + y >= -1,
+    tabulated on a 41 x 41 grid of [-2, 2]^2, affine class on 9 x 9."""
+    ax = np.linspace(-2.0, 2.0, 41)
+    x, y = (m.ravel() for m in np.meshgrid(ax, ax, indexing="ij"))
+    g = np.where(x + y >= -1.0, (x * x + y * y) / 2.0 - x, INF)
+    return {
+        "dimension": 2,
+        "f": {"type": "tabulated", "table": {"values": ((x - 0.5) ** 2 + 2.0 * y * y).tolist()}},
+        "g": {"type": "tabulated", "table": {"values": [ext_to_json(float(v)) for v in g]}},
+        "box": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0], "samples": [41, 41]},
+        "phi": {"kind": "affine", "a_max": 4.0, "v_max": 8.0, "grid": [9, 9]},
+    }
+
+
 # ---------------------------------------------------------------------------
-# sequential halving searches
+# reference searches
 # ---------------------------------------------------------------------------
 
 
@@ -202,89 +236,38 @@ def _primal_objective(inst: ProblemInstance) -> BatchObjective:
     return BatchObjective(lambda points: inst.f.values(points) + inst.g.values(points))
 
 
-def sequential_refine_extremum(
-    h: Callable[[Point], float],
-    box: BoxDomain,
-    seed: Point,
+def pointwise_halving_search(
+    objective: Callable[[Point], float],
+    seed: Sequence[float],
+    radii: Sequence[float],
+    offsets: Sequence[float],
+    lower: Sequence[float],
+    upper: Sequence[float],
     rounds: int,
-    kind: str = "sup",
+    sign: float = 1.0,
 ) -> tuple[float, Point]:
-    """Local grid refinement around `seed`, halving the search cell each round.
+    """The halving search of `core._halving_search`, one candidate at a time.
 
-    The point-by-point halving search that `core.refine_extremum` ran before
-    its candidates were batched, kept as the reference for the batched one.
-
-    The returned value is >= (for sup; <= for inf) the seed evaluation and is
-    monotone in `rounds`.  The search never leaves the box.
+    Each round visits the offsets^k lattice around the round's incumbent
+    (lexicographic), scaled by `radii` and clipped to [lower, upper]; the
+    incumbent moves to the first candidate of greatest sign * objective when
+    that beats it strictly, and the radii halve.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    if kind not in ("sup", "inf"):
-        raise ValueError("kind must be 'sup' or 'inf'")
-    seed = as_point(seed)
-    if not box.contains(seed):
-        raise ValueError("seed must lie inside the box")
-    sign = 1.0 if kind == "sup" else -1.0
-    best_p = seed
-    best_v = sign * h(seed)
-    radii = list(box.cell_sizes())
-    offsets = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    best_p = tuple(float(c) for c in seed)
+    best_v = sign * objective(best_p)
     for _ in range(rounds):
-        for off in _offset_lattice(len(radii), offsets):
-            cand = box.clip(
-                tuple(c + o * r for c, o, r in zip(best_p, off, radii))
+        round_v, round_p = best_v, best_p
+        for off in itertools.product(offsets, repeat=len(best_p)):
+            cand = tuple(
+                min(max(c + o * r, lo), hi)
+                for c, o, r, lo, hi in zip(best_p, off, radii, lower, upper)
             )
-            v = sign * h(cand)
-            if v > best_v:
-                best_v, best_p = v, cand
+            v = sign * objective(cand)
+            if v > round_v:
+                round_v, round_p = v, cand
+        best_v, best_p = round_v, round_p
         radii = [r / 2.0 for r in radii]
     return sign * best_v, best_p
-
-
-def _offset_lattice(dim: int, offsets: Sequence[float]) -> Iterator[tuple[float, ...]]:
-    if dim == 1:
-        for o in offsets:
-            yield (o,)
-    else:
-        for o1 in offsets:
-            for o2 in offsets:
-                yield (o1, o2)
-
-
-def sequential_refine_in_params(
-    objective,
-    phi_class: PhiClass,
-    seed_params,
-    rounds: int = 20,
-) -> tuple[float, tuple[float, ...]]:
-    """Local maximization of `objective(params)` around a parameter-grid seed.
-
-    The candidate-by-candidate search that `conjugation.refine_in_params`
-    ran before its candidates were batched, kept as the reference for the
-    batched one.
-
-    Same halving scheme as `refine_extremum`, but in the truncated parameter
-    box of the class (candidates are clipped to it), so refined winners remain
-    members of the searched family.
-    """
-    axes = phi_class.param_axes()
-    if not axes:
-        p = ()
-        return objective(p), p
-    radii = [float(ax[1] - ax[0]) for ax in axes]
-    offsets = (-1.0, -0.5, 0.0, 0.5, 1.0) if len(axes) <= 2 else (-1.0, 0.0, 1.0)
-    best_p = phi_class.clip_params(seed_params)
-    best_v = objective(best_p)
-    for _ in range(rounds):
-        for off in np.ndindex(*(len(offsets),) * len(axes)):
-            cand = phi_class.clip_params(
-                tuple(c + offsets[o] * r for c, o, r in zip(best_p, off, radii))
-            )
-            val = objective(cand)
-            if val > best_v:
-                best_v, best_p = val, cand
-        radii = [r / 2.0 for r in radii]
-    return best_v, best_p
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from phidual.serialize import (
     parse_instance,
 )
 
+from oracles import table_2d_doc
+
 INSTANCE_DOC = {
     "dimension": 1,
     "f": {
@@ -263,6 +265,30 @@ def test_cli_gap_analyze_rejects_bad_lists(capsys):
     assert ">= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual-report", "--catalog", "kkt-example", "--tol", "nan"],
+        ["dual-report", "--catalog", "kkt-example", "--tol", "inf"],
+        ["gap-analyze", "--catalog", "gap-instance", "--eps-list", "nan"],
+        ["gap-analyze", "--catalog", "gap-instance", "--alpha-list", "nan"],
+        ["dual-report", "--catalog", "fenchel-quadratic", "--a-max", "nan"],
+        ["dual-report", "--instance", "a_max=NaN"],
+    ],
+    ids=["tol-nan", "tol-inf", "eps-nan", "alpha-nan", "a-max-nan", "doc-a-max-nan"],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv):
+    # each of these once ran to exit 0: a NaN tolerance passes every chain
+    # comparison, and NaN levels or bounds were printed into the report
+    if argv[-1] == "a_max=NaN":
+        phi = {"kind": "affine", "a_max": math.nan, "v_max": 32.0, "grid": [65]}
+        doc = dict(INSTANCE_DOC, phi=phi)
+        argv = [*argv[:-1], _write_instance(tmp_path, doc)]
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out.json").exists()
+
+
 def _motivation_doc():
     """A convex pair on which the bridge once reported a lower val(LP) than
     the chain, and hence a false primal-biconjugate equality."""
@@ -279,30 +305,13 @@ def _motivation_doc():
     }
 
 
-def _table_2d_doc():
-    """f = (x - 0.5)^2 + 2y^2 and g = (x^2 + y^2)/2 - x on x + y >= -1,
-    tabulated on a 41 x 41 grid of [-2, 2]^2, affine class on 9 x 9."""
-    import numpy as np
-
-    ax = np.linspace(-2.0, 2.0, 41)
-    x, y = (m.ravel() for m in np.meshgrid(ax, ax, indexing="ij"))
-    g = np.where(x + y >= -1.0, (x * x + y * y) / 2.0 - x, math.inf)
-    return {
-        "dimension": 2,
-        "f": {"type": "tabulated", "table": {"values": ((x - 0.5) ** 2 + 2.0 * y * y).tolist()}},
-        "g": {"type": "tabulated", "table": {"values": ["+inf" if math.isinf(v) else v for v in g]}},
-        "box": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0], "samples": [41, 41]},
-        "phi": {"kind": "affine", "a_max": 4.0, "v_max": 8.0, "grid": [9, 9]},
-    }
-
-
 @pytest.mark.parametrize(
     "source",
     ["motivation", "table-2d", "cone-indicator-1d", "example-6.1", "fenchel-quadratic",
      "gap-instance", "kkt-example"],
 )
 def test_cli_gap_analyze_reports_one_val_lp(tmp_path, source):
-    docs = {"motivation": _motivation_doc, "table-2d": _table_2d_doc}
+    docs = {"motivation": _motivation_doc, "table-2d": table_2d_doc}
     if source in docs:
         args = ["--instance", _write_instance(tmp_path, docs[source]())]
     else:

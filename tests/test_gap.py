@@ -18,8 +18,9 @@ from phidual import (
     val_lagrangian_primal,
 )
 from phidual.gap import elementary_extremum_on_box, support_candidates
+from phidual.serialize import parse_instance
 
-from oracles import affine_class, box1d, check_intersection_direct
+from oracles import affine_class, box1d, check_intersection_direct, table_2d_doc
 
 PAIR = get_entry("example-6.1").build()
 FEN = get_entry("fenchel-quadratic").build()
@@ -115,6 +116,45 @@ def test_certify_with_pinned_pair_uses_constant_alpha_support():
 def test_certify_default_search_on_convex_instance():
     certs = certify_zero_gap_via_intersection(FEN, [-0.1])
     assert certs[0].found
+
+
+def _piecewise_instance(f, g):
+    f, g = proper_piecewise("f", f), proper_piecewise("g", g)
+    return ProblemInstance(f, g, box1d(), affine_class())
+
+
+WINNER_FIRST = {
+    # seed-1000 random-5 of the benchmark stream: no duality gap
+    "random-5": lambda: _piecewise_instance(
+        (-3.0, 4.0, 1.0, -2.6885814037332865, -1.8643265293810511),
+        (-INF, INF, 0.5, 1.3458964361719534, -0.6993143485200788),
+    ),
+    # seed-1000 random-7: val(LP) - val(CD) = 0.234
+    "random-7": lambda: _piecewise_instance(
+        (-1.0, 1.0, -0.5, 2.570289517870222, 0.71870963739604),
+        (-INF, INF, 0.5, -2.329320350576739, -1.0680763984859571),
+    ),
+    "table-2d": lambda: parse_instance(table_2d_doc()),
+    "table-2d-lsc": lambda: parse_instance(
+        dict(
+            table_2d_doc(),
+            phi={"kind": "lsc-quadratic", "a_max": 4.0, "v_max": 8.0, "grid": [5, 9, 9]},
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WINNER_FIRST)
+def test_certify_tries_the_dual_winner_first(name):
+    # by the zero-gap theorem psi1 = psi2 = the val(CD) winner, with the
+    # constant alpha as support, certifies every level below val(CD); the
+    # winner lies off the parameter grid, so no grid pair does it in budget
+    inst = WINNER_FIRST[name]()
+    v_cd = inst.dual[0]
+    alphas = [v_cd - d for d in (1e-3, 0.01, 0.1, 0.5, 2.0)]
+    for cert in certify_zero_gap_via_intersection(inst, alphas):
+        assert cert.found and cert.checks_used == 1, cert.alpha
+        assert cert.psi1 == cert.psi2 == inst.dual[1]
 
 
 def test_certify_zero_budget_is_inconclusive():

@@ -22,7 +22,6 @@ from phidual import (
     TabulatedFunction,
     catalog_names,
     duality_chain_report,
-    ext_to_json,
     get_entry,
     phi_conjugate,
     pieces,
@@ -31,7 +30,7 @@ from phidual import (
 )
 from phidual.serialize import parse_instance
 
-from oracles import box1d, random_bounded_piecewise
+from oracles import box1d, random_bounded_piecewise, twin_document
 
 BOX = box1d()
 
@@ -106,21 +105,14 @@ def _twin_and_clipped(entry, samples=401):
     inst = entry.build()
     (lo,), (hi,) = inst.box.lower, inst.box.upper
     box = BoxDomain((lo,), (hi,), (samples,))
-    p = inst.phi
-    doc = {
-        "dimension": 1,
-        "box": {"lower": [lo], "upper": [hi], "samples": [samples]},
-        "phi": {"kind": p.kind, "a_max": p.a_max, "v_max": p.v_max, "grid": list(p.grid_sizes)},
-    }
-    for key, fn in (("f", inst.f), ("g", inst.g)):
-        values = fn.values(box.grid().points)
-        doc[key] = {"type": "tabulated", "table": {"values": [ext_to_json(v) for v in values]}}
 
     def clipped(fn):
         kept = [(max(q.lo, lo), min(q.hi, hi), q.a2, q.a1, q.a0) for q in fn.piecewise.pieces]
         return proper_piecewise(fn.label, *[q for q in kept if q[0] <= q[1]])
 
-    return parse_instance(doc), ProblemInstance(clipped(inst.f), clipped(inst.g), box, p)
+    return parse_instance(twin_document(inst, samples)), ProblemInstance(
+        clipped(inst.f), clipped(inst.g), box, inst.phi
+    )
 
 
 def _lipschitz_on_box(fn: ProperFunction, box: BoxDomain) -> float:

@@ -1,11 +1,13 @@
-"""The batched halving search against the sequential reference searches.
+"""The batched halving search against its sequential (point-by-point) reference.
 
-`refine_extremum` and `refine_in_params` evaluate each round's untried
-candidates as one batch; `tests/oracles.py` keeps the point-by-point loops
-they replaced.  Both must return the same value and point bit for bit
-(signed zeros included), and a plain callable must receive exactly the
-reference's calls.  The objectives below have ties, -inf plateaus, signed
-zero values and optima on the bounds, where the candidates are clipped.
+`refine_extremum` and `refine_in_params` evaluate the seed as one batch and
+each round's whole lattice as one more, then move to the round's best
+candidate; `tests/oracles.py` runs the same step one candidate at a time.
+Both must return the same value and point bit for bit (signed zeros
+included), a plain callable must receive exactly the reference's calls, and
+a batch objective exactly 1 + rounds batches.  The objectives below have
+ties, -inf plateaus, signed zero values and optima on the bounds, where the
+candidates are clipped.
 """
 
 import struct
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 from phidual import BoxDomain, PhiClass, refine_extremum
 from phidual.conjugation import refine_in_params
 
-from oracles import sequential_refine_extremum, sequential_refine_in_params
+from oracles import pointwise_halving_search
 
 NEG_INF = -np.inf
+OFFSETS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 BOXES = {
     1: BoxDomain((-2.0,), (3.0,), (11,)),
@@ -84,10 +87,9 @@ class Recorder:
     """A plain callable (no batch method) that records every call."""
 
     def __init__(self, objective):
-        self.objective, self.points, self.calls = objective, [], []
+        self.objective, self.calls = objective, []
 
     def __call__(self, p) -> float:
-        self.points.append(p)
         self.calls.append(tuple(_bits(c) for c in p))
         return self.objective(p)
 
@@ -117,15 +119,44 @@ def param_searches(draw):
     return draw(objectives(k)), phi_class, seed, draw(st.integers(min_value=0, max_value=8))
 
 
+def reference_extremum(h, box, seed, rounds, kind):
+    """`pointwise_halving_search` with the arguments `refine_extremum` uses."""
+    sign = 1.0 if kind == "sup" else -1.0
+    return pointwise_halving_search(
+        h, seed, box.cell_sizes(), OFFSETS, box.lower, box.upper, rounds, sign
+    )
+
+
+def reference_in_params(objective, phi_class, seed, rounds):
+    """`pointwise_halving_search` with the arguments `refine_in_params` uses."""
+    axes = phi_class.param_axes()
+    radii = [float(ax[1] - ax[0]) for ax in axes]
+    offsets = OFFSETS if len(axes) <= 2 else (-1.0, 0.0, 1.0)
+    lower, upper = phi_class.param_bounds()
+    seed = phi_class.clip_params(seed)
+    return pointwise_halving_search(objective, seed, radii, offsets, lower, upper, rounds)
+
+
+class BatchCounter:
+    """A batch objective that records the size of every batch it gets."""
+
+    def __init__(self, objective):
+        self.objective, self.sizes = objective, []
+
+    def values(self, rows):
+        self.sizes.append(len(rows))
+        return self.objective.values(rows)
+
+
 @settings(max_examples=300, deadline=None)
 @given(search=point_searches())
 def test_refine_extremum_batched_equals_sequential(search):
     objective, box, seed, rounds, kind = search
-    want = sequential_refine_extremum(objective, box, seed, rounds, kind)
+    want = reference_extremum(objective, box, seed, rounds, kind)
     assert_bitwise_equal(refine_extremum(objective, box, seed, rounds, kind), want)
     plain, reference = Recorder(objective), Recorder(objective)
     got = refine_extremum(plain, box, seed, rounds, kind)
-    want = sequential_refine_extremum(reference, box, seed, rounds, kind)
+    want = reference_extremum(reference, box, seed, rounds, kind)
     assert_bitwise_equal(got, want)
     assert plain.calls == reference.calls
 
@@ -134,33 +165,25 @@ def test_refine_extremum_batched_equals_sequential(search):
 @given(search=param_searches())
 def test_refine_in_params_batched_equals_sequential(search):
     objective, phi_class, seed, rounds = search
-    want = sequential_refine_in_params(objective, phi_class, seed, rounds)
+    want = reference_in_params(objective, phi_class, seed, rounds)
     assert_bitwise_equal(refine_in_params(objective, phi_class, seed, rounds), want)
     plain, reference = Recorder(objective), Recorder(objective)
     got = refine_in_params(plain, phi_class, seed, rounds)
-    want = sequential_refine_in_params(reference, phi_class, seed, rounds)
+    want = reference_in_params(reference, phi_class, seed, rounds)
     assert_bitwise_equal(got, want)
     assert plain.calls == reference.calls
 
 
-def test_batched_search_makes_one_call_per_round_and_improvement():
-    """A round is one batch, plus one more for the rest of the lattice
-    after each improvement; the seed is a batch of its own."""
-    sizes = []
-
-    class Counted(LatticeObjective):
-        def values(self, rows):
-            sizes.append(len(rows))
-            return super().values(rows)
-
-    objective = Counted([0.3, -0.6], 1.0, [0.0, 0.0], 0.0, np.inf, 0.0)
-    plain = Recorder(objective)
-    rounds = 6
-    want = sequential_refine_extremum(plain, BOXES[2], (2.0, 1.0), rounds)
-    values = [objective(p) for p in plain.points]
-    improvements = sum(v > max(values[:i]) for i, v in enumerate(values) if i)
-    assert improvements > 0
-    sizes.clear()
-    assert_bitwise_equal(refine_extremum(objective, BOXES[2], (2.0, 1.0), rounds), want)
-    assert sizes[0] == 1 and sizes[1] == 25
-    assert 1 + rounds <= len(sizes) <= 1 + rounds + improvements
+@settings(max_examples=100, deadline=None)
+@given(point=point_searches(), param=param_searches())
+def test_batched_search_makes_one_call_per_round(point, param):
+    """A 1-row seed batch, then one whole lattice per round."""
+    objective, box, seed, rounds, kind = point
+    counted = BatchCounter(objective)
+    refine_extremum(counted, box, seed, rounds, kind)
+    assert counted.sizes == [1] + [len(OFFSETS) ** box.dim] * rounds
+    objective, phi_class, seed, rounds = param
+    counted = BatchCounter(objective)
+    refine_in_params(counted, phi_class, seed, rounds)
+    k = phi_class.n_params
+    assert counted.sizes == [1] + [(5 if k <= 2 else 3) ** k] * rounds
