@@ -138,7 +138,7 @@ def _load(args, cfg: RunConfig) -> tuple[ProblemInstance, Optional[_catalog.Cata
         return inst, entry
     if args.instance:
         inst = load_instance(args.instance)
-        if cfg.box or cfg.samples or cfg.a_max or cfg.v_max:
+        if any(o is not None for o in (cfg.box, cfg.samples, cfg.a_max, cfg.v_max)):
             phi = inst.phi
             if cfg.a_max is not None or cfg.v_max is not None:
                 phi = replace(

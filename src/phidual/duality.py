@@ -97,25 +97,35 @@ class ProblemInstance:
 
     @cached_property
     def symmetric_dual(self) -> tuple[float, Optional[Elementary]]:
-        """`val_cd_sym`: val(CD^sym) and its winner."""
+        """`val_cd_sym`: val(CD^sym) and its winner.  On a symmetric class
+        (affine, constant-only) {phi : -phi in class} is the class itself
+        and -f*(-phi) = -*f(phi), so CD^sym is CD: this is `dual`, the one
+        sweep of the program."""
+        if self.phi.symmetric:
+            return self.dual
         return val_cd_sym(self)
 
     @cached_property
     def dual(self) -> tuple[float, Optional[Elementary]]:
-        """val(CD) and its winner: `val_lagrangian_dual`, or the symmetric
-        winner (CD-feasible) where it scores higher, which guards against
-        refinement asymmetry between the two sweeps."""
+        """val(CD) and its winner: `val_lagrangian_dual`.  On the
+        lsc-quadratic class the symmetric winner (CD-feasible) replaces it
+        where it scores higher, which guards against refinement asymmetry
+        between the two sweeps."""
         v, phi = val_lagrangian_dual(self)
+        if self.phi.symmetric:
+            return v, phi
         phi_sym = self.symmetric_dual[1]
         v_sym = NEG_INF if phi_sym is None else dual_value_at(self, phi_sym)
         return (v_sym, phi_sym) if v_sym > v else (v, phi)
 
     @cached_property
     def lagrangian_primal(self) -> tuple[float, Optional[Point]]:
-        """val(LP) and its witness: both dual winners join the g** family and
-        the minimizer of f + g is one more candidate point, so val(LP) <=
-        val(P) holds by construction."""
-        extras = tuple(p for p in (self.dual[1], self.symmetric_dual[1]) if p is not None)
+        """val(LP) and its witness: both dual winners join the g** family
+        (one copy where they are the same member) and the minimizer of
+        f + g is one more candidate point, so val(LP) <= val(P) holds by
+        construction."""
+        winners = (self.dual[1], self.symmetric_dual[1])
+        extras = tuple(dict.fromkeys(p for p in winners if p is not None))
         return _lagrangian_primal_search(self, extras, self.primal[1])
 
 
@@ -267,9 +277,11 @@ def val_cd_sym(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
     {phi : -phi in class}.
 
     For the lsc-quadratic kind the constraint a >= 0 on both phi and -phi
-    forces a = 0, so the sweep always runs over the affine subfamily.
-    Computes afresh on each call; the analyses read the instance's memo
-    (`ProblemInstance.symmetric_dual`).
+    forces a = 0, so the sweep always runs over the affine subfamily.  On a
+    symmetric class it is `val_lagrangian_dual`'s program, value and winner
+    alike.  Computes afresh on each call; the analyses read the instance's
+    memo (`ProblemInstance.symmetric_dual`), which on a symmetric class is
+    the memo of val(CD).
     """
     sub = inst.phi.symmetric_subclass()
 

@@ -30,7 +30,7 @@ import json
 import math
 import numpy as np
 
-from .core import BoxDomain, Point, ext_from_json
+from .core import INF, NEG_INF, BoxDomain, Point, ext_from_json
 from .duality import ProblemInstance
 from .functions import (
     PhiClass,
@@ -172,6 +172,24 @@ class NearestLookup:
         return float(self.values(np.array([p], dtype=float))[0])
 
 
+def _table_values(raw: list) -> np.ndarray:
+    """`[ext_from_json(v) for v in raw]` as a float64 array, in one numpy pass.
+
+    numpy alone would also read the strings "inf", "nan" or "1.0" and take
+    None for NaN, so the pass runs only where every entry is a number or
+    one of the strings "+inf"/"-inf", which it maps to the infinities; any
+    other entry goes through `ext_from_json`, which rejects it.
+    """
+    types = list(map(type, raw))
+    if set(types) <= {int, float, bool, str}:
+        arr = np.array(raw, dtype=object)
+        pos, neg = arr == "+inf", arr == "-inf"
+        if np.count_nonzero(pos) + np.count_nonzero(neg) == types.count(str):
+            arr[pos], arr[neg] = INF, NEG_INF
+            return arr.astype(float)
+    return np.array([ext_from_json(v) for v in raw], dtype=float)
+
+
 def _parse_function(doc: dict, box: BoxDomain, fallback_label: str) -> ProperFunction:
     ftype = _require(doc, "type", f"function {fallback_label!r}")
     label = str(doc.get("label", fallback_label))
@@ -208,7 +226,7 @@ def _parse_function(doc: dict, box: BoxDomain, fallback_label: str) -> ProperFun
             raise InstanceFormatError(
                 f"table needs {n_expected} values (box grid size), got {len(raw)}"
             )
-        values = np.array([ext_from_json(v) for v in raw], dtype=float)
+        values = _table_values(raw)
         try:
             tab = TabulatedFunction(box, _BoxedTable(box, NearestLookup(box, values)), label)
         except ValueError as exc:

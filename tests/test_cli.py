@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from phidual.cli import main
@@ -325,3 +326,58 @@ def test_cli_gap_analyze_reports_one_val_lp(tmp_path, source):
     if source == "motivation":
         assert ga["primal_biconjugate_equality"] is True
         assert ga["condition_sum"] and not ga["contradiction"]
+
+
+@pytest.mark.parametrize("source", ["instance", "catalog"])
+def test_cli_zero_bound_overrides_apply_to_every_source(tmp_path, capsys, source):
+    # --a-max 0 and --v-max 0 are overrides, not absent ones: an instance
+    # file once kept its own a_max, and its v_max escaped the bound check
+    if source == "instance":
+        args = ["--instance", _write_instance(tmp_path, INSTANCE_DOC)]
+    else:
+        args = ["--catalog", "kkt-example"]
+    out = tmp_path / "rep.json"
+    assert main(["dual-report", *args, "--a-max", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["truncation"]["a_max"] == 0.0
+    assert main(["dual-report", *args, "--v-max", "0"]) == 1
+    assert "truncation bounds" in capsys.readouterr().err
+
+
+def _table_cases():
+    """The tables of every golden twin, then mixed lists."""
+    from phidual import catalog_names, get_entry
+
+    from oracles import twin_document
+
+    for name in catalog_names():
+        doc = twin_document(get_entry(name).build())
+        for key in ("f", "g"):
+            yield pytest.param(doc[key]["table"]["values"], id=f"{name}.{key}")
+    mixed = [1, 2.5, "+inf", "-inf", -0.0, 0, 2**53 + 1, -(2**62) - 1, 5e-324, 1e308]
+    yield pytest.param(mixed, id="mixed")
+    yield pytest.param(["-inf", 3, "+inf", "+inf", 0.1], id="inf-first")
+    yield pytest.param([True, False, 7], id="bools")
+    yield pytest.param([], id="empty")
+
+
+@pytest.mark.parametrize("raw", _table_cases())
+def test_table_values_match_the_per_entry_rule(raw):
+    from phidual.core import ext_from_json
+    from phidual.serialize import _table_values
+
+    want = np.array([ext_from_json(v) for v in raw], dtype=float)
+    got = _table_values(raw)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry", ["inf", "nan", "1.0", None, [1.0], math.nan], ids=repr
+)
+def test_cli_rejects_non_extended_real_table_entries(tmp_path, capsys, entry):
+    # numpy alone would read these strings as floats and None as NaN;
+    # `ext_from_json` rejects each, and so must the one-pass table parse
+    table = [0.0, "+inf"] * 1000 + [1]
+    table[7] = entry
+    doc = dict(INSTANCE_DOC, g={"type": "tabulated", "table": {"values": table}})
+    assert main(["dual-report", "--instance", _write_instance(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

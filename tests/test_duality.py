@@ -223,17 +223,22 @@ def test_dual_objective_ignores_constant_of_phi():
         assert math.isclose(got, base, rel_tol=1e-12, abs_tol=1e-12)
 
 
-def test_constant_only_class_end_to_end():
-    # regression: the zero-parameter class exercises every empty-matrix path
-    from phidual import BoxDomain, PhiClass, check_bui_condition, search_kkt_pair
+def _constant_only_instance():
+    from phidual import BoxDomain, PhiClass
 
-    box = BoxDomain((-5.0,), (5.0,), (501,))
-    inst = ProblemInstance(
+    return ProblemInstance(
         proper_piecewise("f", (-5.0, 5.0, 1.0, 0.0, 0.0)),
         proper_piecewise("g", (-5.0, 5.0, 0.0, 0.0, 1.0)),
-        box,
+        BoxDomain((-5.0,), (5.0,), (501,)),
         PhiClass("constant-only", dim=1),
     )
+
+
+def test_constant_only_class_end_to_end():
+    # regression: the zero-parameter class exercises every empty-matrix path
+    from phidual import check_bui_condition, search_kkt_pair
+
+    inst = _constant_only_instance()
     r = duality_chain_report(inst)
     assert r.chain_ok
     assert all(abs(v - 1.0) < 1e-9 for v in r.values().values())
@@ -298,3 +303,52 @@ def test_analyses_of_one_instance_share_its_values(monkeypatch):
     assert again == inst
     assert duality_chain_report(again).values() == chain.values()
     assert calls == {"val_primal": 2, "_lagrangian_primal_search": 2}
+
+
+def _symmetric_class_instances():
+    """The affine catalog entries, their tabulated twins, the 2D table
+    instance and a constant-only instance."""
+    from phidual import catalog_names
+    from phidual.serialize import parse_instance
+
+    from oracles import table_2d_doc, twin_document
+
+    entries = [get_entry(n).build() for n in catalog_names()]
+    affine = [inst for inst in entries if inst.phi.kind == "affine"]
+    twins = [parse_instance(twin_document(inst)) for inst in affine]
+    return [*affine, *twins, parse_instance(table_2d_doc()), _constant_only_instance()]
+
+
+def _bits(result) -> bytes:
+    """A dual result's value and winner parameters, as bytes."""
+    v, phi = result
+    return np.array([v] if phi is None else [v, phi.a, *phi.v, phi.c]).tobytes()
+
+
+@pytest.mark.parametrize("inst", _symmetric_class_instances())
+def test_symmetric_class_duals_are_one_program(inst):
+    # on a symmetric class CD^sym is CD: the shared memo is each public
+    # function's own result, value and winner, bit for bit
+    assert inst.phi.symmetric
+    assert _bits(inst.dual) == _bits(val_lagrangian_dual(inst))
+    assert _bits(inst.symmetric_dual) == _bits(val_cd_sym(inst))
+
+
+@pytest.mark.parametrize("name, sweeps", [("gap-instance", 1), ("example-6.1", 2)])
+def test_chain_report_sweeps_each_dual_program_once(monkeypatch, name, sweeps):
+    # a symmetric class runs one dual sweep for val(CD) and val(CD^sym);
+    # the lsc-quadratic class keeps the two programs
+    import phidual.duality as duality
+
+    calls = []
+    original = duality._sweep_and_refine
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(duality, "_sweep_and_refine", counted)
+    inst = get_entry(name).build()
+    report = duality_chain_report(inst)
+    assert len(calls) == sweeps
+    assert report.val_CD_sym == val_cd_sym(inst)[0]
