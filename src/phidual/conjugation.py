@@ -16,8 +16,11 @@ which is what the subgradient-side tests use.
 lattice (a axis x v rows).  In 1D both sweep it with the monotone-argmax
 kernel `functions._monotone_row_max` (a table's conjugates through
 `sup_quadratic_offset_lattice`; piecewise quadratics keep their exact
-clamping); extra family members, refinement batches, single points and 2D
-take the dense (rows x points) maximum.
+clamping): the first and last row of every a take the maximum over all
+columns, the rows between are bisected inside the columns those bracket,
+and a run of rows left with one column takes it in one call.  Extra family
+members, refinement batches, single points and 2D take the dense (rows x
+points) maximum.
 """
 
 from __future__ import annotations
@@ -262,9 +265,11 @@ def biconjugate_on_grid(
     `extra_phis` join the searched family (used to keep value chains coherent
     when a refined dual winner leaves the coarse parameter grid).
 
-    In 1D the conjugate table's lattice is swept by `_monotone_row_max`, one
-    a at a time: rows are the ascending grid points, columns the ascending
-    v, cells those of `biconjugate_at_points`.  The extras, and every 2D
+    In 1D the conjugate table's lattice is swept by one `_monotone_row_max`
+    call over all a: rows are the ascending grid points, columns the
+    ascending v, cells those of `biconjugate_at_points`.  The two end points
+    bracket the v of every point between, and most runs of points soon share
+    a single v, which serves them all in one call.  The extras, and every 2D
     family, take the dense rows.
     """
     points = box.grid().points

@@ -59,7 +59,10 @@ def ext_from_json(v: object) -> float:
     if v == "-inf":
         return NEG_INF
     if isinstance(v, (int, float)):
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:
+            raise ValueError("integer beyond float range") from None
     raise ValueError(f"not an extended real: {v!r}")
 
 

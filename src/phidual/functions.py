@@ -19,7 +19,8 @@ outside their union) computes them exactly by vertex clamping;
 :class:`TabulatedFunction` (a black-box evaluator over a box) by grid
 oracles: dense (rows x grid points) maxima, except for a 1D lattice, which
 `_monotone_row_max` sweeps in O((N + M) log N) cells per ``qa`` with the
-same cells' values.
+same cells' values: the least and greatest ``qb`` rows over every grid
+point, the rows between only over the points their argmaxima bracket.
 
 Elementary functions are x |-> -a*||x||^2 + <v, x> + c with a >= 0; a = 0
 gives the affine class.  :class:`PhiClass` is a truncated, searchable
@@ -160,42 +161,67 @@ def quadratic_rows(qa: np.ndarray, qb: np.ndarray, points: np.ndarray) -> np.nda
     return np.outer(qa, _squares(points)) + dt
 
 
+def _spans(first: np.ndarray, count: np.ndarray):
+    """The runs first[k], ..., first[k] + count[k] - 1, concatenated: each
+    entry's run index, the entries, and each run's start."""
+    start = np.cumsum(count) - count
+    seg = np.repeat(np.arange(len(count)), count)
+    return seg, np.arange(len(seg)) + (first - start)[seg], start
+
+
 def _monotone_row_max(cell, n_slices: int, n_rows: int, n_cols: int) -> np.ndarray:
     """Row maxima of `n_slices` matrices of shape (n_rows, n_cols), each with
     a leftmost row argmax that never moves left as the row index grows.
 
-    `cell(s, i, j)` returns the entries at equal-length index arrays.  In
-    1D, M[i, j] = qa*sq + qb_i*x_j - h_j with qb and x ascending has this
-    structure: M[i2, j2] - M[i2, j1] - M[i1, j2] + M[i1, j1] =
-    (qb_i2 - qb_i1)(x_j2 - x_j1) >= 0 (the total monotonicity behind SMAWK
-    and Lucet's linear-time Legendre transform); whole -inf columns never
-    win.  Divide and conquer, all slices and open row ranges of one level
-    at once: each range evaluates its middle row over the columns between
-    its neighbours' argmaxima, and the leftmost maximum splits the range.
-    That is O((n_rows + n_cols) log n_rows) cells per slice instead of
-    n_rows*n_cols.  Returns an (n_slices, n_rows) array.
+    `cell(s, i, j)` returns the entries at index arrays that broadcast
+    together.  In 1D, M[i, j] = qa*sq + qb_i*x_j - h_j with qb and x
+    ascending has this structure: M[i2, j2] - M[i2, j1] - M[i1, j2] +
+    M[i1, j1] = (qb_i2 - qb_i1)(x_j2 - x_j1) >= 0 (the total monotonicity
+    behind SMAWK and Lucet's linear-time Legendre transform); whole -inf
+    columns never win.  The first and last rows of every slice are one
+    broadcast block over all columns, and their argmaxima bracket the
+    columns of the rows between.  Those are bisected level by level, all
+    slices and open row ranges at once: each range evaluates its middle row
+    over the columns between its neighbours' argmaxima, and the leftmost
+    maximum splits the range; a range whose window is one column takes that
+    column's cell in every row.  That is O((n_rows + n_cols) log n_rows)
+    cells per slice instead of n_rows*n_cols.  Returns an (n_slices, n_rows)
+    array.
     """
     out = np.empty((n_slices, n_rows))
-    s = np.arange(n_slices)
-    lo, hi = np.zeros(n_slices, dtype=np.intp), np.full(n_slices, n_rows)
-    clo, chi = np.zeros(n_slices, dtype=np.intp), np.full(n_slices, n_cols - 1)
-    while s.size:
+    s, ends = np.arange(n_slices), np.array([0, n_rows - 1])
+    vals = cell(s[:, None, None], ends[None, :, None], np.arange(n_cols))
+    best = vals.max(axis=2)
+    out[:, ends] = best
+    if n_rows < 3:
+        return out
+    # the window of the rows between: from the first cell not below row 0's
+    # maximum to the last not below the last row's (a NaN or all -inf end
+    # row bounds nothing)
+    hits = ~(vals < best[..., None])
+    clo = np.argmax(hits[:, 0], axis=1)
+    chi = np.maximum(n_cols - 1 - np.argmax(hits[:, 1, ::-1], axis=1), clo)
+    lo, hi = np.ones(n_slices, dtype=np.intp), np.full(n_slices, n_rows - 1)
+    while True:
+        one = clo == chi
+        if one.any():
+            seg, rows, _ = _spans(lo[one], (hi - lo)[one])
+            t = s[one][seg]
+            out[t, rows] = cell(t, rows, clo[one][seg])
+            s, lo, hi, clo, chi = (a[~one] for a in (s, lo, hi, clo, chi))
+        if not s.size:
+            return out
         mid = (lo + hi) // 2
-        length = chi - clo + 1
-        start = np.cumsum(length) - length
-        seg = np.repeat(np.arange(s.size), length)
-        j = np.arange(start[-1] + length[-1]) + (clo - start)[seg]
+        seg, j, start = _spans(clo, chi - clo + 1)
         vals = cell(s[seg], mid[seg], j)
         best = np.maximum.reduceat(vals, start)
         # the first cell not below its range's maximum (the first cell of a NaN range)
-        hits = np.flatnonzero(~(vals < best[seg]))
-        arg = j[hits[np.searchsorted(hits, start)]]
+        arg = j[np.minimum.reduceat(np.where(vals < best[seg], len(j), np.arange(len(j))), start)]
         out[s, mid] = best
         left, right = mid > lo, mid + 1 < hi
         s = np.concatenate([s[left], s[right]])
         lo, hi = np.concatenate([lo[left], mid[right] + 1]), np.concatenate([mid[left], hi[right]])
         clo, chi = np.concatenate([clo[left], arg[right]]), np.concatenate([arg[left], chi[right]])
-    return out
 
 
 def _lattice_by_rows(rep, qa: np.ndarray, qb: np.ndarray, qc, box, restrict) -> np.ndarray:
@@ -778,10 +804,12 @@ class TabulatedFunction:
         """`sup_quadratic_offset_many` at every pair (qa_s, qb_i) of a qa axis
         (S,) and qb rows (R, dim): an (S, R) array.
 
-        In 1D each qa slice is one `_monotone_row_max` over the qb rows in
-        ascending order and the ascending grid points, with the cells of
-        `_offsets_on_grid`, so every value is a maximum over a subset of the
-        dense rows' cells.  In 2D the rows are the dense ones.
+        In 1D all qa slices are one `_monotone_row_max` call over the qb rows
+        in ascending order and the ascending grid points, with the cells of
+        `_offsets_on_grid`: the least and the greatest qb take the maximum
+        over every grid point, every other row over the points between the
+        argmaxima of rows around it, so each value is a maximum over a subset
+        of the dense row's cells.  In 2D the rows are the dense ones.
         """
         qa = np.asarray(qa, dtype=float)
         qb = np.asarray(qb, dtype=float).reshape(-1, self.dim)

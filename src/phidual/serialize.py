@@ -100,26 +100,48 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _parse_box(doc: dict) -> BoxDomain:
-    lower = [ext_from_json(v) for v in _require(doc, "lower", "box")]
-    upper = [ext_from_json(v) for v in _require(doc, "upper", "box")]
-    samples = _require(doc, "samples", "box")
+def _number(v, where: str) -> float:
+    """A JSON number, or "+inf"/"-inf", as a float (see `ext_from_json`)."""
     try:
-        return BoxDomain(tuple(lower), tuple(upper), tuple(samples))
+        return ext_from_json(v)
+    except ValueError as exc:
+        raise InstanceFormatError(f"{where}: {exc}") from exc
+
+
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise InstanceFormatError(f"{where} must be a list, got {v!r}")
+    return v
+
+
+def _integer(v, where: str) -> int:
+    """A JSON integer (a number with a decimal point, or a boolean, is none)."""
+    if type(v) is not int:
+        raise InstanceFormatError(f"{where} must be an integer, got {v!r}")
+    return v
+
+
+def _sizes(v, where: str) -> tuple[int, ...]:
+    return tuple(_integer(n, f"{where} entry") for n in _list(v, where))
+
+
+def _parse_box(doc: dict) -> BoxDomain:
+    lower = [_number(v, "box lower") for v in _list(_require(doc, "lower", "box"), "box lower")]
+    upper = [_number(v, "box upper") for v in _list(_require(doc, "upper", "box"), "box upper")]
+    samples = _sizes(_require(doc, "samples", "box"), "box samples")
+    try:
+        return BoxDomain(tuple(lower), tuple(upper), samples)
     except ValueError as exc:
         raise InstanceFormatError(f"bad box: {exc}") from exc
 
 
 def _parse_phi(doc: dict, dim: int) -> PhiClass:
     kind = _require(doc, "kind", "phi")
+    a_max = _number(doc.get("a_max", 8.0), "phi a_max")
+    v_max = _number(doc.get("v_max", 32.0), "phi v_max")
+    grid = _sizes(doc.get("grid", []), "phi grid")
     try:
-        return PhiClass(
-            kind,
-            dim=dim,
-            a_max=float(doc.get("a_max", 8.0)),
-            v_max=float(doc.get("v_max", 32.0)),
-            grid_sizes=tuple(doc.get("grid", ())),
-        )
+        return PhiClass(kind, dim=dim, a_max=a_max, v_max=v_max, grid_sizes=grid)
     except ValueError as exc:
         raise InstanceFormatError(f"bad phi class: {exc}") from exc
 
@@ -178,7 +200,8 @@ def _table_values(raw: list) -> np.ndarray:
     numpy alone would also read the strings "inf", "nan" or "1.0" and take
     None for NaN, so the pass runs only where every entry is a number or
     one of the strings "+inf"/"-inf", which it maps to the infinities; any
-    other entry goes through `ext_from_json`, which rejects it.
+    other entry, or an integer beyond float range, goes through
+    `ext_from_json`, and the document is rejected.
     """
     types = list(map(type, raw))
     if set(types) <= {int, float, bool, str}:
@@ -186,8 +209,11 @@ def _table_values(raw: list) -> np.ndarray:
         pos, neg = arr == "+inf", arr == "-inf"
         if np.count_nonzero(pos) + np.count_nonzero(neg) == types.count(str):
             arr[pos], arr[neg] = INF, NEG_INF
-            return arr.astype(float)
-    return np.array([ext_from_json(v) for v in raw], dtype=float)
+            try:
+                return arr.astype(float)
+            except OverflowError:
+                pass
+    return np.array([_number(v, "table value") for v in raw], dtype=float)
 
 
 def _parse_function(doc: dict, box: BoxDomain, fallback_label: str) -> ProperFunction:
@@ -197,19 +223,16 @@ def _parse_function(doc: dict, box: BoxDomain, fallback_label: str) -> ProperFun
         if box.dim != 1:
             raise InstanceFormatError("piecewise-quadratic functions are 1D only")
         pieces = []
-        for i, pc in enumerate(_require(doc, "pieces", "function")):
-            iv = _require(pc, "interval", f"piece {i}")
-            co = _require(pc, "coeffs", f"piece {i}")
+        for i, pc in enumerate(_list(_require(doc, "pieces", "function"), "pieces")):
+            iv = _list(_require(pc, "interval", f"piece {i}"), f"piece {i} interval")
+            co = _list(_require(pc, "coeffs", f"piece {i}"), f"piece {i} coeffs")
             if len(iv) != 2 or len(co) != 3:
                 raise InstanceFormatError(
                     f"piece {i}: interval needs 2 entries and coeffs 3"
                 )
+            ends_and_coeffs = [_number(v, f"piece {i}") for v in iv + co]
             try:
-                pieces.append(
-                    QuadraticPiece(
-                        ext_from_json(iv[0]), ext_from_json(iv[1]), *map(float, co)
-                    )
-                )
+                pieces.append(QuadraticPiece(*ends_and_coeffs))
             except ValueError as exc:
                 raise InstanceFormatError(f"piece {i}: {exc}") from exc
         try:
@@ -220,7 +243,7 @@ def _parse_function(doc: dict, box: BoxDomain, fallback_label: str) -> ProperFun
             raise InstanceFormatError(str(exc)) from exc
     if ftype == "tabulated":
         table = _require(doc, "table", "function")
-        raw = _require(table, "values", "table")
+        raw = _list(_require(table, "values", "table"), "table values")
         n_expected = int(np.prod(box.samples))
         if len(raw) != n_expected:
             raise InstanceFormatError(
@@ -236,7 +259,7 @@ def _parse_function(doc: dict, box: BoxDomain, fallback_label: str) -> ProperFun
 
 
 def parse_instance(doc: dict) -> ProblemInstance:
-    dim = int(_require(doc, "dimension", "instance"))
+    dim = _integer(_require(doc, "dimension", "instance"), "dimension")
     box = _parse_box(_require(doc, "box", "instance"))
     if box.dim != dim:
         raise InstanceFormatError("box dimension does not match 'dimension'")

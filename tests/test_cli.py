@@ -381,3 +381,64 @@ def test_cli_rejects_non_extended_real_table_entries(tmp_path, capsys, entry):
     doc = dict(INSTANCE_DOC, g={"type": "tabulated", "table": {"values": table}})
     assert main(["dual-report", "--instance", _write_instance(tmp_path, doc)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _write_raw(tmp_path, doc, digits):
+    """Write `doc` with every "BIG" string replaced by the JSON integer `digits`."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', digits))
+    return str(path)
+
+
+@pytest.mark.parametrize("where", ["table value", "box bound", "piece coefficient"])
+def test_cli_rejects_integers_beyond_float_range(tmp_path, capsys, where):
+    # JSON reads 10**400 exactly; float() of it once raised OverflowError out of main
+    doc = json.loads(json.dumps(INSTANCE_DOC))
+    if where == "table value":
+        doc["g"] = {"type": "tabulated", "table": {"values": ["BIG"] + [0.0] * 2000}}
+    elif where == "box bound":
+        doc["box"]["upper"] = ["BIG"]
+    else:
+        doc["f"]["pieces"][0]["coeffs"][1] = "BIG"
+    path = _write_raw(tmp_path, doc, "1" + "0" * 400)
+    with pytest.raises(InstanceFormatError, match="beyond float range"):
+        load_instance(path)
+    assert main(["dual-report", "--instance", path]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("phi", "grid"), [9.7, 33]),
+        (("box", "samples"), [11.9]),
+        (("box", "samples"), [2001.0]),
+        (("dimension",), 1.5),
+        (("phi", "a_max"), "8"),
+        (("f", "pieces", 0, "coeffs"), ["1", "0", "0"]),
+        (("box", "lower"), -10.0),
+    ],
+    ids=["grid-fraction", "samples-fraction", "samples-float", "dimension-fraction",
+         "a-max-string", "coeffs-strings", "lower-not-a-list"],
+)
+def test_cli_rejects_coerced_numeric_fields(tmp_path, capsys, path, value):
+    # sizes are JSON integers and numbers JSON numbers (or "+inf"/"-inf"):
+    # a 9.7 x 33 grid once built a 9 x 33 class and "8" once read as 8.0
+    doc = json.loads(json.dumps(INSTANCE_DOC))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(InstanceFormatError):
+        parse_instance(doc)
+    assert main(["dual-report", "--instance", _write_instance(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_parse_accepts_integers_where_numbers_go():
+    doc = json.loads(json.dumps(INSTANCE_DOC))
+    doc["phi"].update(a_max=8, v_max=32)
+    doc["box"].update(lower=[-10], upper=[10])
+    doc["f"]["pieces"][0]["coeffs"] = [2, 0, 0]
+    inst = parse_instance(doc)
+    assert (inst.phi.a_max, inst.box.lower, inst.f(1.5)) == (8.0, (-10.0,), 4.5)

@@ -10,7 +10,10 @@ only the sign of a zero may differ, because `np.max` picks between 0.0 and
 (constant, linear and integer-valued tables), noise and 2-3 point boxes.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,18 +134,87 @@ def test_two_dim_sweeps_stay_dense():
         assert _bits(got) == _bits(dense_biconjugate_on_grid(f, cls, box, extras_of(cls)))
 
 
-def test_kernel_evaluates_fewer_cells_than_dense():
-    """65 slices of 65 x 2001: O((N + M) log N) cells each, not N*M."""
+def _workload_cells():
+    """The cells of a lattice table (65 slices of 65 slopes x 2001 points)
+    and of a g** sweep over its values (65 slices of 2001 points x 65 slopes)."""
     x = np.linspace(-10.0, 10.0, 2001)
     h = x * x + np.sin(3.0 * x)
     qa, qb = -np.linspace(0.0, 8.0, 65), np.linspace(-32.0, 32.0, 65)
+    table = lambda s, i, j: (qa[s] * (x[j] * x[j]) + qb[i] * x[j]) - h[j]
+    fstar = _monotone_row_max(table, len(qa), len(qb), len(x))
+    sweep = lambda s, i, j: (qa[s] * (x[i] * x[i]) + qb[j] * x[i]) - fstar[s, j]
+    return (table, (65, 65, 2001)), (sweep, (65, 2001, 65))
+
+
+def test_kernel_evaluates_fewer_cells_than_dense():
+    """65 slices of 65 x 2001: O((N + M) log N) cells each, not N*M."""
+    (table, shape), _ = _workload_cells()
     seen = [0]
 
     def cell(s, i, j):
-        seen[0] += len(s)
-        return (qa[s] * (x[j] * x[j]) + qb[i] * x[j]) - h[j]
+        seen[0] += np.broadcast(s, i, j).size
+        return table(s, i, j)
 
-    got = _monotone_row_max(cell, len(qa), len(qb), len(x))
-    dense = (qa[:, None, None] * (x * x) + qb[None, :, None] * x) - h
+    got = _monotone_row_max(cell, *shape)
+    dense = table(*np.ix_(*map(np.arange, shape)))
     assert _bits(got) == _bits(dense.max(axis=2))
     assert seen[0] < dense.size // 4
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["table-65x65x2001", "sweep-65x2001x65"])
+def test_kernel_working_set(which):
+    """One call at each 1D workload shape allocates at most 9.6 MiB at its
+    peak, the most the kernel took at these shapes before its end rows
+    bracketed the others; it is part of grid-1d's peak RSS."""
+    cell, shape = _workload_cells()[which]
+    tracemalloc.start()
+    try:
+        _monotone_row_max(cell, *shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.6 * 2**20
+
+
+@st.composite
+def monotone_slices(draw):
+    """(cell, shape) of 1-3 slices, each with a leftmost row argmax that
+    never moves left.
+
+    Either a table (rows ascending slopes, columns ascending points, one
+    value per column) or a g** sweep (rows ascending points, columns
+    ascending slopes, one value per slice and column), 1-3 to 2001 rows
+    against 1-65 columns.  Integer entries tie, +inf values make whole -inf
+    columns (or slices), and a +inf row term makes the first or the last row
+    -inf.  Cells add 0.0, so no row holds both signs of a zero maximum, of
+    which `np.max` picks one by its reduction order.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_slices = draw(st.integers(1, 3))
+    n_rows = draw(st.one_of(st.integers(1, 3), st.integers(4, 60), st.integers(200, 2001)))
+    n_cols = draw(st.one_of(st.integers(1, 3), st.integers(4, 65)))
+    integer, holes = draw(st.booleans()), draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+    def values(*shape):
+        return rng.integers(-4, 5, shape) * 1.0 if integer else rng.normal(scale=3.0, size=shape)
+
+    qa = values(n_slices)
+    r = np.zeros(n_rows)
+    r[list(draw(st.sampled_from([(), (0,), (-1,), (0, -1)])))] = INF
+    if draw(st.booleans()):
+        b, x = np.sort(values(n_rows)), np.sort(values(n_cols))
+        h = np.where(rng.random(n_cols) < holes, INF, values(n_cols))
+        cell = lambda s, i, j: (((qa[s] * (x[j] * x[j]) + b[i] * x[j]) - h[j]) - r[i]) + 0.0
+    else:
+        x, v = np.sort(values(n_rows)), np.sort(values(n_cols))
+        F = np.where(rng.random((n_slices, n_cols)) < holes, INF, values(n_slices, n_cols))
+        cell = lambda s, i, j: (((qa[s] * (x[i] * x[i]) + v[j] * x[i]) - F[s, j]) - r[i]) + 0.0
+    return cell, (n_slices, n_rows, n_cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monotone_slices())
+def test_kernel_equals_dense_row_maxima_bit_for_bit(slices):
+    cell, shape = slices
+    dense = cell(*np.ix_(*map(np.arange, shape))).max(axis=2)
+    assert _bits(_monotone_row_max(cell, *shape)) == _bits(dense)
