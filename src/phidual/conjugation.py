@@ -21,6 +21,15 @@ columns, the rows between are bisected inside the columns those bracket,
 and a run of rows left with one column takes it in one call.  Extra family
 members, refinement batches, single points and 2D take the dense (rows x
 points) maximum.
+
+The dual programs over the class (val(CD), val(CD^sym), f** at a point,
+the dual-subgradient test) sweep the parameter grid and improve its winner
+(`_sweep_and_refine`).  Each is concave in the parameters (`ConjugateSum`);
+with one parameter, the affine class in 1D, it is solved to its maximum by
+supergradient cuts and bisection (`_maximize_concave`), the supergradients
+coming from the points that attain the conjugates.  With more parameters,
+and for the sum condition's search, 20 halving rounds of `refine_in_params`
+refine the winner.
 """
 
 from __future__ import annotations
@@ -118,11 +127,13 @@ def conjugates_at_params(
     box: BoxDomain,
     params: np.ndarray,
     side: str = "right",
-) -> np.ndarray:
-    """Conjugate values of f at every parameter row (c = 0)."""
+    points: bool = False,
+):
+    """Conjugate values of f at every parameter row (c = 0); with `points`,
+    (values, attaining points) as `sup_quadratic_offset_many` gives them."""
     a, v = phi_class.split_params(params)
     sign = 1.0 if side == "right" else -1.0
-    return f.sup_quadratic_offset_many(-sign * a, sign * v, 0.0, box, restrict=False)
+    return f.sup_quadratic_offset_many(-sign * a, sign * v, 0.0, box, restrict=False, points=points)
 
 
 @lru_cache(maxsize=64)
@@ -157,7 +168,9 @@ def refine_in_params(
     batch method (an (N, n_params) array in, N values out, each as
     `objective(row)` would give it; see `core.BatchObjective`); any other
     objective is called candidate by candidate, with the same value and
-    parameters as the result.
+    parameters as the result.  `_sweep_and_refine` uses it for the programs
+    with two or more parameters and for the sum condition's search; the
+    one-parameter conjugate programs are solved by `_maximize_concave`.
     """
     axes = phi_class.param_axes()
     if not axes:
@@ -170,20 +183,124 @@ def refine_in_params(
     return _halving_search(objective, seed, radii, offsets, lower, upper, rounds)
 
 
+class ConjugateSum:
+    """The dual objective  p -> phi_p(x) - base - sum_k C_k(s_k*p)  over
+    parameter rows p, where C_k is the `side_k` conjugate of f_k
+    (`conjugates_at_params`) and phi_p the member of the class; -inf
+    wherever some C_k is +inf.  Without `x` the sum starts at -C_1.
+
+    Called on an (N, n_params) array it returns the N values.  It is
+    concave in p; with one parameter (the affine class in 1D), `slopes(rows)`
+    returns the values and a supergradient per row,
+    x - sum_k s_k*t_k*y_k, where y_k attains C_k and t_k is +1 for a right
+    conjugate and -1 for a left one (Danskin).
+    """
+
+    def __init__(self, phi_class: PhiClass, box: BoxDomain, parts, x: Optional[Point] = None,
+                 base: float = 0.0):
+        self.phi_class, self.box, self.parts, self.x, self.base = phi_class, box, parts, x, base
+
+    def _evaluate(self, rows: np.ndarray, points: bool):
+        d, slope, infinite = None, 0.0 if self.x is None else self.x[0], False
+        if self.x is not None:
+            d = self.phi_class.member_values(rows, self.x) - self.base
+        for f, side, s in self.parts:
+            c = conjugates_at_params(f, self.phi_class, self.box, s * rows, side, points)
+            if points:
+                c, y = c
+                slope = slope - (s if side == "right" else -s) * y[:, 0]
+            infinite = infinite | (c == INF)
+            d = -c if d is None else d - c
+        d = np.where(infinite, NEG_INF, d)
+        return (d, slope) if points else d
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        return self._evaluate(rows, False)
+
+    def slopes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._evaluate(rows, True)
+
+
+#: oracle calls of `_maximize_concave` at most; with the midpoint in every
+#: call, a bracket of one grid step is a few ulps wide well before this
+_MAX_STEPS = 80
+
+
+def _maximize_concave(oracle, v0: float, step: float, lower: float, upper: float):
+    """(value, point) of the maximum of a concave d on [lower, upper], from
+    the maximum v0 of d on a grid of spacing `step`.
+
+    `oracle(vs)` returns d and a supergradient at every entry of an array;
+    d is -inf off its domain, an interval holding v0.  Since d(v0) is at
+    least d at both grid neighbours, concavity puts the maximum in
+    [v0 - step, v0 + step]; the first call evaluates v0 and those two ends.
+    The evaluated points keep a bracket: the last feasible point with a
+    positive supergradient and the next point, which is feasible with a
+    negative one or -inf; a point with supergradient 0 is a maximum, and a
+    bracket end that is the end of the interval holds the maximum.  Each
+    further call evaluates, inside the bracket, its midpoint and, when both
+    ends are feasible, the intersection of their cuts d(e) + s_e*(v - e)
+    (Kelley's cutting plane, exact at a kink of a piecewise-linear d) and
+    the zero of the secant of their supergradients (exact on a quadratic
+    piece of d).  The search stops when the cuts' intersection, an upper
+    bound of d on the bracket, is within rounding of the best value, when
+    the bracket is a few ulps wide, or after `_MAX_STEPS` calls.  Returns
+    the first evaluated point of greatest value, v0 first.
+    """
+    vs = [v0, max(v0 - step, lower), min(v0 + step, upper)]
+    best, known = (NEG_INF, v0), []
+    for _ in range(_MAX_STEPS):
+        d, s = oracle(np.array(vs))
+        for v, dv, sv in zip(vs, d.tolist(), s.tolist()):
+            if dv > best[0]:
+                best = (dv, v)
+            if dv > NEG_INF and not sv != 0.0:
+                return best
+            known.append((v, dv, sv))
+        known.sort()
+        feasible = [k for k, e in enumerate(known) if e[1] > NEG_INF]
+        rising = [k for k in feasible if known[k][2] > 0.0]
+        ia = rising[-1] if rising else feasible[0] - 1 if feasible else -1
+        if ia < 0 or ia + 1 == len(known):
+            return best
+        known = known[ia : ia + 2]
+        (a, da, sa), (b, db, sb) = known
+        if b - a <= 4.0 * np.spacing(max(abs(a), abs(b), 1.0)):
+            break
+        vs = [0.5 * (a + b)]
+        if da > NEG_INF and db > NEG_INF:
+            cut = (db - da + sa * a - sb * b) / (sa - sb)
+            if da + sa * (cut - a) - best[0] <= 4.0 * np.spacing(max(abs(da), abs(db)) + sa * (b - a)):
+                break
+            vs = sorted({v for v in (cut, a + sa * (b - a) / (sa - sb), vs[0]) if a < v < b})
+    return best
+
+
 def _sweep_and_refine(
     values, phi_class: PhiClass, params: np.ndarray, sweep: np.ndarray
 ) -> tuple[float, Optional[tuple[float, ...]]]:
     """(value, parameters) of the best row of `sweep` (values at the rows of
-    `params`), refined for 20 rounds by `refine_in_params` on the batch
-    objective `values` and replaced only when that is strictly larger;
-    (-inf, None) when every row is -inf."""
+    `params`, the class's parameter grid), improved by a local search on the
+    batch objective `values` and replaced only when that finds a strictly
+    larger value; (-inf, None) when every row is -inf.
+
+    A `ConjugateSum` with one parameter is maximized exactly by
+    `_maximize_concave` from the grid winner, with its supergradients; any
+    other objective is refined for 20 rounds by `refine_in_params`.
+    """
     i = int(np.argmax(sweep))
     best = float(sweep[i]), tuple(params[i])
     if best[0] == NEG_INF:
         return NEG_INF, None
     if params.shape[1] == 0:
         return best
-    val, p = refine_in_params(BatchObjective(values), phi_class, best[1])
+    if params.shape[1] == 1 and isinstance(values, ConjugateSum):
+        (axis,), ((lower,), (upper,)) = phi_class.param_axes(), phi_class.param_bounds()
+        oracle = lambda vs: values.slopes(vs[:, None])
+        val, v = _maximize_concave(oracle, best[1][0], float(axis[1] - axis[0]), lower, upper)
+        p = (v,)
+    else:
+        val, p = refine_in_params(BatchObjective(values), phi_class, best[1])
     return (val, p) if val > best[0] else best
 
 
@@ -239,17 +356,16 @@ def biconjugate(
 ) -> float:
     """f**(x) = sup over the truncated class of phi(x) - f*(phi).
 
-    Parameters with infinite conjugate are skipped; the winner is refined in
-    parameter space.  Returns -inf when no searched parameter has a finite
-    conjugate (no elementary minorant found in the truncated family).
+    Parameters with infinite conjugate are skipped; the grid winner is
+    improved in parameter space (`_sweep_and_refine`): on the affine class
+    in 1D the concave program in v is solved to its maximum, on the other
+    classes refined by halving.  Returns -inf when no searched parameter has
+    a finite conjugate (no elementary minorant found in the truncated
+    family).
     """
     x = as_point(x)
     scores = _minorant_scores(searched_family(f, phi_class, box), np.asarray([x]))[:, 0]
-
-    def objective(params: np.ndarray) -> np.ndarray:
-        fstar = conjugates_at_params(f, phi_class, box, params, "right")
-        return phi_class.member_values(params, x) - fstar
-
+    objective = ConjugateSum(phi_class, box, ((f, "right", 1.0),), x)
     params = conjugate_table(f, phi_class, box, "right").params
     return _sweep_and_refine(objective, phi_class, params, scores)[0]
 

@@ -41,11 +41,11 @@ from .core import (
     refine_extremum,
 )
 from .conjugation import (
+    ConjugateSum,
     _sweep_and_refine,
     biconjugate_at_points,
     biconjugate_on_grid,
     conjugate_table,
-    conjugates_at_params,
     left_conjugate,
     phi_conjugate,
     searched_family,
@@ -241,16 +241,14 @@ def val_lagrangian_dual(inst: ProblemInstance) -> tuple[float, Optional[Elementa
     """sup over the truncated class of inf_x L(x, phi) = -*f(phi) - g*(phi).
 
     Infeasible parameters (infinite conjugates) contribute -inf and are
-    thereby skipped; the winner is refined inside the parameter box.
-    Computes afresh on each call; the analyses read the instance's memo
-    (`ProblemInstance.dual`).
+    thereby skipped; the grid winner is improved inside the parameter box
+    (`_sweep_and_refine`): on the affine class in 1D, where the program is
+    concave in the one parameter v with supergradient x_f - y_g at the
+    points attaining *f and g*, to its maximum; on the other classes by 20
+    halving rounds.  Computes afresh on each call; the analyses read the
+    instance's memo (`ProblemInstance.dual`).
     """
-
-    def objective(rows: np.ndarray) -> np.ndarray:
-        lf = conjugates_at_params(inst.f, inst.phi, inst.box, rows, "left")
-        gs = conjugates_at_params(inst.g, inst.phi, inst.box, rows, "right")
-        return np.where((lf == INF) | (gs == INF), NEG_INF, -lf - gs)
-
+    objective = ConjugateSum(inst.phi, inst.box, ((inst.f, "left", 1.0), (inst.g, "right", 1.0)))
     val, p = _sweep_and_refine(objective, inst.phi, *_dual_table(inst))
     return val, None if p is None else inst.phi.member(p)
 
@@ -277,19 +275,16 @@ def val_cd_sym(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
     {phi : -phi in class}.
 
     For the lsc-quadratic kind the constraint a >= 0 on both phi and -phi
-    forces a = 0, so the sweep always runs over the affine subfamily.  On a
-    symmetric class it is `val_lagrangian_dual`'s program, value and winner
-    alike.  Computes afresh on each call; the analyses read the instance's
-    memo (`ProblemInstance.symmetric_dual`), which on a symmetric class is
-    the memo of val(CD).
+    forces a = 0, so the sweep always runs over the affine subfamily; in 1D
+    that has one parameter v, and the grid winner is improved to the
+    maximum of the concave program (`_sweep_and_refine`), in 2D by halving.
+    On a symmetric class it is `val_lagrangian_dual`'s program, value and
+    winner alike.  Computes afresh on each call; the analyses read the
+    instance's memo (`ProblemInstance.symmetric_dual`), which on a symmetric
+    class is the memo of val(CD).
     """
     sub = inst.phi.symmetric_subclass()
-
-    def objective(rows: np.ndarray) -> np.ndarray:
-        fv = conjugates_at_params(inst.f, sub, inst.box, -rows, "right")
-        gv = conjugates_at_params(inst.g, sub, inst.box, rows, "right")
-        return np.where((fv == INF) | (gv == INF), NEG_INF, -fv - gv)
-
+    objective = ConjugateSum(sub, inst.box, ((inst.f, "right", -1.0), (inst.g, "right", 1.0)))
     params = sub.param_grid()
     val, p = _sweep_and_refine(objective, sub, params, objective(params))
     return val, None if p is None else sub.member(p)

@@ -108,14 +108,23 @@ def quad_inf_on_interval(
 
 
 def quad_sup_on_interval_many(
-    A: np.ndarray, B: np.ndarray, C: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
-    """Vectorized `quad_sup_on_interval` over coefficient arrays (values only)."""
+    A: np.ndarray, B: np.ndarray, C: np.ndarray, lo: float, hi: float, points: bool = False
+):
+    """Vectorized `quad_sup_on_interval` over coefficient arrays.
+
+    Returns the values; with `points`, (values, attaining x): per entry the
+    first of the candidates lo, hi, the vertex -B/(2A) and (for A = B = 0)
+    0 clamped to [lo, hi] whose candidate value is the entry's value, NaN
+    where the sup is +inf.  The candidate values are (A*x + B)*x + C at an
+    end, C - B*B/(4A) at the vertex and C on a flat entry.
+    """
     vals = np.full(np.shape(A), NEG_INF)
-    if is_finite(lo):
-        vals = np.maximum(vals, (A * lo + B) * lo + C)
-    if is_finite(hi):
-        vals = np.maximum(vals, (A * hi + B) * hi + C)
+    cands = []
+    for end in (lo, hi):
+        if is_finite(end):
+            q = (A * end + B) * end + C
+            vals = np.maximum(vals, q)
+            cands.append((q, end))
     concave = A < 0
     with np.errstate(divide="ignore", invalid="ignore"):
         xv = np.where(concave, -B / (2.0 * np.where(concave, A, 1.0)), 0.0)
@@ -129,7 +138,14 @@ def quad_sup_on_interval_many(
         unbounded |= (A > 0) | ((A == 0) & (B > 0))
     if lo == NEG_INF:
         unbounded |= (A > 0) | ((A == 0) & (B < 0))
-    return np.where(unbounded, INF, vals)
+    vals = np.where(unbounded, INF, vals)
+    if not points:
+        return vals
+    cands += [(np.where(hit, vtx, NEG_INF), xv), (np.where(flat, C, NEG_INF), min(max(0.0, lo), hi))]
+    x = np.full(np.shape(A), np.nan)
+    for q, xq in reversed(cands):
+        x = np.where(q == vals, xq, x)
+    return vals, x
 
 
 def _squares(points: np.ndarray):
@@ -601,26 +617,32 @@ class PiecewiseQuadratic:
         qc,
         box: Optional[BoxDomain] = None,
         restrict: bool = True,
-    ) -> np.ndarray:
+        points: bool = False,
+    ):
         """`sup_quadratic_offset` values at every row of (qa, qb, qc).
 
         `qb` has one entry (or one one-coordinate row) per entry of `qa`;
-        `qc` is a number or one entry per row.
+        `qc` is a number or one entry per row.  With `points`, returns
+        (values, attaining points (N, 1)): the point of the first piece
+        whose `quad_sup_on_interval_many` value is the row's, NaN where
+        the row is infinite.
         """
         qa = np.asarray(qa, dtype=float)
         qb = np.asarray(qb, dtype=float).reshape(qa.shape)
         qc = np.asarray(qc, dtype=float)
         blo, bhi = self._interval(box, restrict)
         out = np.full(qa.shape, NEG_INF)
+        x = np.full(qa.shape, np.nan)
         for p in self.pieces:
             lo, hi = max(p.lo, blo), min(p.hi, bhi)
             if lo > hi:
                 continue
-            out = np.maximum(
-                out,
-                quad_sup_on_interval_many(qa - p.a2, qb - p.a1, qc - p.a0, lo, hi),
-            )
-        return out
+            r = quad_sup_on_interval_many(qa - p.a2, qb - p.a1, qc - p.a0, lo, hi, points)
+            if points:
+                r, xr = r
+                x = np.where(r > out, xr, x)
+            out = np.maximum(out, r)
+        return (out, x.reshape(-1, 1)) if points else out
 
     def sup_quadratic_offset_lattice(
         self,
@@ -779,19 +801,30 @@ class TabulatedFunction:
         qc,
         box: BoxDomain,
         restrict: bool = True,
-    ) -> np.ndarray:
+        points: bool = False,
+    ):
         """Grid maxima of `sup_quadratic_offset` at every row of (qa, qb, qc).
 
         Rows are grid maxima on `box` whatever `restrict` says: no row is
-        refined or checked by the sentinel.  `qb` has shape (N, dim).
+        refined or checked by the sentinel.  `qb` has shape (N, dim).  With
+        `points`, returns (values, attaining points (N, dim)): each row's
+        first grid point of greatest cell, NaN where the row is -inf.
         """
         qa = np.asarray(qa, dtype=float)
         qb = np.asarray(qb, dtype=float).reshape(len(qa), self.dim)
         out = np.empty(len(qa))
+        arg = np.empty(len(qa), dtype=np.intp)
         for i in range(0, len(qa), ROW_CHUNK):
             sl = slice(i, i + ROW_CHUNK)
-            out[sl] = np.max(self._offsets_on_grid(qa[sl], qb[sl], box), axis=1)
-        return out + qc
+            cells = self._offsets_on_grid(qa[sl], qb[sl], box)
+            out[sl] = np.max(cells, axis=1)
+            if points:
+                arg[sl] = np.argmax(cells, axis=1)
+        out = out + qc
+        if not points:
+            return out
+        at = box.grid().points[arg]
+        return out, np.where((out > NEG_INF)[:, None], at, np.nan)
 
     def sup_quadratic_offset_lattice(
         self,
@@ -881,8 +914,8 @@ class ProperFunction:
     def sup_quadratic_offset(self, qa, qb, qc, box: BoxDomain, restrict=True):
         return self.rep.sup_quadratic_offset(qa, qb, qc, box, restrict)
 
-    def sup_quadratic_offset_many(self, qa, qb, qc, box: BoxDomain, restrict=True):
-        return self.rep.sup_quadratic_offset_many(qa, qb, qc, box, restrict)
+    def sup_quadratic_offset_many(self, qa, qb, qc, box: BoxDomain, restrict=True, points=False):
+        return self.rep.sup_quadratic_offset_many(qa, qb, qc, box, restrict, points)
 
     def sup_quadratic_offset_lattice(self, qa, qb, qc, box: BoxDomain, restrict=True):
         return self.rep.sup_quadratic_offset_lattice(qa, qb, qc, box, restrict)
@@ -901,8 +934,11 @@ def values_on_grid(f, box: BoxDomain) -> np.ndarray:
 
     Cached; the arrays are read-only.  Proper functions are passed as their
     representation (`f.rep`), the key a table also uses for itself, so each
-    function is evaluated once per box.
+    function is evaluated once per box; on its own box a table's values are
+    its `grid_values`.
     """
+    if isinstance(f, TabulatedFunction) and box == f.box:
+        return f.grid_values
     vals = f.values(box.grid().points)
     vals.setflags(write=False)
     return vals

@@ -95,6 +95,9 @@ def dumps_csv(rows: list[dict]) -> str:
 
 
 def _require(doc: dict, key: str, where: str):
+    """doc[key] of a JSON object `doc` (the part of the document named `where`)."""
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{where} must be a JSON object, got {doc!r}")
     if key not in doc:
         raise InstanceFormatError(f"missing field {key!r} in {where}")
     return doc[key]
@@ -197,14 +200,18 @@ class NearestLookup:
 def _table_values(raw: list) -> np.ndarray:
     """`[ext_from_json(v) for v in raw]` as a float64 array, in one numpy pass.
 
-    numpy alone would also read the strings "inf", "nan" or "1.0" and take
-    None for NaN, so the pass runs only where every entry is a number or
-    one of the strings "+inf"/"-inf", which it maps to the infinities; any
-    other entry, or an integer beyond float range, goes through
-    `ext_from_json`, and the document is rejected.
+    A list of floats only is one `np.array` call.  numpy alone would also
+    read the strings "inf", "nan" or "1.0" and take None for NaN, so
+    otherwise the pass runs only where every entry is a number or one of
+    the strings "+inf"/"-inf", which it maps to the infinities; any other
+    entry, or an integer beyond float range, goes through `ext_from_json`,
+    and the document is rejected.
     """
+    kinds = set(map(type, raw))
+    if kinds == {float}:
+        return np.array(raw, dtype=float)
     types = list(map(type, raw))
-    if set(types) <= {int, float, bool, str}:
+    if kinds <= {int, float, bool, str}:
         arr = np.array(raw, dtype=object)
         pos, neg = arr == "+inf", arr == "-inf"
         if np.count_nonzero(pos) + np.count_nonzero(neg) == types.count(str):

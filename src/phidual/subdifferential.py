@@ -21,12 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INF, NEG_INF, BoxDomain, Point, as_point, is_finite
+from .core import INF, BoxDomain, Point, as_point, is_finite
 from .conjugation import (
+    ConjugateSum,
     _sweep_and_refine,
     biconjugate,
     conjugate_table,
-    conjugates_at_params,
     phi_conjugate,
 )
 from .functions import Elementary, PhiClass, ProperFunction
@@ -129,8 +129,11 @@ def is_dual_subgradient(
 
         f*(phi) - f*(phi_bar) >= phi(x_bar) - phi_bar(x_bar)  for all phi,
 
-    searched over the truncated class grid with local refinement.  A holding
-    certificate means no violation was found in the searched family.
+    searched over the truncated class grid, the worst grid violation then
+    improved in parameter space (`_sweep_and_refine`): the violation is
+    concave in phi, and on the affine class in 1D it is maximized exactly
+    over v, on the other classes refined by halving.  A holding certificate
+    means no violation was found in the searched family.
     """
     x_bar = as_point(x_bar)
     fstar_bar = phi_conjugate(f, phi_bar, box).value
@@ -141,12 +144,7 @@ def is_dual_subgradient(
     a, v = phi_class.split_params(table.params)
     sq = sum(c * c for c in x_bar)
     viol = -a * sq + v @ np.asarray(x_bar) - base - table.values
-
-    def objective(rows: np.ndarray) -> np.ndarray:
-        fs = conjugates_at_params(f, phi_class, box, rows, "right")
-        phix = phi_class.member_values(rows, x_bar)
-        return np.where(fs == INF, NEG_INF, phix - base - fs)
-
+    objective = ConjugateSum(phi_class, box, ((f, "right", 1.0),), x_bar, base)
     worst, worst_p = _sweep_and_refine(objective, phi_class, table.params, viol)
     holds = worst <= tol
     return SubgradientCertificate(

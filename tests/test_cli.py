@@ -358,6 +358,7 @@ def _table_cases():
     yield pytest.param(["-inf", 3, "+inf", "+inf", 0.1], id="inf-first")
     yield pytest.param([True, False, 7], id="bools")
     yield pytest.param([], id="empty")
+    yield pytest.param([0.5, -0.0, 5e-324, 1e308, math.inf, -math.inf], id="floats-only")
 
 
 @pytest.mark.parametrize("raw", _table_cases())
@@ -442,3 +443,29 @@ def test_parse_accepts_integers_where_numbers_go():
     doc["f"]["pieces"][0]["coeffs"] = [2, 0, 0]
     inst = parse_instance(doc)
     assert (inst.phi.a_max, inst.box.lower, inst.f(1.5)) == (8.0, (-10.0,), 4.5)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("f",), 5),
+        (("g",), None),
+        (("phi",), "kind"),
+        (("box",), [-10.0, 10.0]),
+        (("g",), {"type": "tabulated", "table": [0.0] * 2001}),
+        (("f", "pieces", 0), 7),
+    ],
+    ids=["f-number", "g-null", "phi-string", "box-list", "table-list", "piece-number"],
+)
+def test_cli_rejects_non_object_fields(tmp_path, capsys, path, value):
+    # f, g, box, phi, table and each piece are JSON objects: a number, null,
+    # string or list there once escaped main as a TypeError traceback
+    doc = json.loads(json.dumps(INSTANCE_DOC))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(InstanceFormatError, match="must be a JSON object"):
+        parse_instance(doc)
+    assert main(["dual-report", "--instance", _write_instance(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

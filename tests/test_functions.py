@@ -13,7 +13,7 @@ from phidual import (
     proper_piecewise,
     support_membership,
 )
-from phidual.functions import quad_inf_on_interval, quad_sup_on_interval
+from phidual.functions import TabulatedFunction, quad_inf_on_interval, quad_sup_on_interval, values_on_grid
 
 from oracles import box1d, dense_sup
 
@@ -183,3 +183,13 @@ def test_tabulated_rejects_empty_domain():
         TabulatedFunction(box1d(n=11), lambda p: INF)
     tab = TabulatedFunction(box1d(n=11), lambda p: p[0] ** 2, "sq")
     assert tab(2.0) == 4.0
+
+
+def test_values_on_grid_reads_a_tables_own_grid_values():
+    # on its own box a table's grid values are the ones it computed once
+    box = box1d(-1.0, 2.0, 31)
+    tab = TabulatedFunction(box, lambda p: p[0] * p[0] - p[0], "t")
+    assert values_on_grid(tab, box) is tab.grid_values
+    other = box1d(-1.0, 2.0, 7)
+    want = np.array([p[0] * p[0] - p[0] for p in other.grid()])
+    assert values_on_grid(tab, other).tobytes() == want.tobytes()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from phidual import BoxDomain, ProperFunction, TabulatedFunction, pieces
-from phidual.functions import CLOSED_FORM, GRID_ORACLE
+from phidual.functions import CLOSED_FORM, GRID_ORACLE, quadratic_rows
 from phidual.serialize import parse_instance
 
 from oracles import box1d
@@ -129,3 +129,44 @@ def test_unrestricted_many_rows(name):
         for i in range(len(qa)):
             v, _ = f.sup_quadratic_offset(float(qa[i]), tuple(qb[i]), float(qc[i]), box, restrict=False)
             assert np.float64(v).tobytes() == whole[i].tobytes(), (i, v, whole[i])
+
+
+def _cell(f, qa: float, qb, qc: float, x, box, restrict: bool) -> float:
+    """The value `sup_quadratic_offset_many` gives a row at its attaining
+    point x: for a table the grid cell qa*|x|^2 + <qb, x> - h(x), plus qc;
+    for pieces the greatest candidate at x of a piece holding it (the end
+    value (A*x + B)*x + C, the vertex value C - B*B/(4A), C on a flat row)."""
+    x = np.asarray(x, dtype=float)
+    if f.method == GRID_ORACLE:
+        return float(quadratic_rows(np.array([qa]), np.array([qb]), x[None])[0, 0] - f.values(x[None])[0] + qc)
+    (x,), (qb,) = x, qb
+    blo, bhi = (box.lower[0], box.upper[0]) if restrict else (-math.inf, math.inf)
+    cells = []
+    for p in f.rep.pieces:
+        lo, hi = max(p.lo, blo), min(p.hi, bhi)
+        if not lo <= x <= hi:
+            continue
+        A, B, C = qa - p.a2, qb - p.a1, qc - p.a0
+        if x in (lo, hi):
+            cells.append((A * x + B) * x + C)
+        if A < 0 and x == -B / (2.0 * A):
+            cells.append(C - B * B / (4.0 * A))
+        if A == 0 and B == 0:
+            cells.append(C)
+    return max(cells)
+
+
+@pytest.mark.parametrize("restrict", [True, False])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_many_attaining_points_reproduce_their_rows(name, restrict):
+    f, box, _ = CASES[name]
+    qa, qb, qc = _rows(f.dim)
+    values = f.sup_quadratic_offset_many(qa, qb, qc, box, restrict)
+    got, points = f.sup_quadratic_offset_many(qa, qb, qc, box, restrict, points=True)
+    assert got.tobytes() == values.tobytes() and points.shape == (len(qa), f.dim)
+    for i in range(len(qa)):
+        if not math.isfinite(values[i]):
+            assert np.all(np.isnan(points[i])), (name, i)
+            continue
+        cell = _cell(f, qa[i], qb[i], qc[i], points[i], box, restrict)
+        assert np.float64(cell).tobytes() == values[i].tobytes(), (name, i, cell, values[i])
