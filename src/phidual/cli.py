@@ -114,7 +114,7 @@ def _config(args) -> RunConfig:
         samples=tuple(_floats(args.grid, int)) if args.grid else None,
         a_max=args.a_max,
         v_max=args.v_max,
-        eps_list=_floats(args.eps_list) if args.eps_list else None,
+        eps_list=_floats(args.eps_list) if args.eps_list is not None else None,
         alpha_list=_floats(args.alpha_list) if args.alpha_list else None,
         tol=args.tol,
         fmt=args.format,
@@ -214,7 +214,7 @@ def cmd_gap_analyze(args) -> int:
             ]
     bridge = theorem_bridge_report(
         inst,
-        eps_list=cfg.eps_list or DEFAULT_EPS_LIST,
+        eps_list=DEFAULT_EPS_LIST if cfg.eps_list is None else cfg.eps_list,
         alphas=cfg.alpha_list,
         alpha_offsets=DEFAULT_ALPHA_OFFSETS,
         pairs=pairs,

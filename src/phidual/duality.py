@@ -62,13 +62,21 @@ from .functions import (
 )
 
 
+#: grid points x parameter rows above which an instance is refused before
+#: anything is allocated: a dual table evaluates that many cells.  The
+#: largest default, the 2D lsc class (17^3 rows) on the CLI's 201 x 201
+#: grid, is 1.99e8 cells; the 1D defaults (65 x 65 rows, 2001 points) 8.5e6.
+CELL_BUDGET = 2**28
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Minimize f + g over the box with duals searched in the given class.
 
     The values that several analyses share are properties computed once per
     instance object and kept on it: an equal instance built anew computes
-    them again.
+    them again.  An instance whose grid points times parameter rows exceed
+    `CELL_BUDGET` raises `ValueError` before its grid is built.
     """
 
     f: ProperFunction
@@ -80,6 +88,12 @@ class ProblemInstance:
         dims = {self.f.dim, self.g.dim, self.box.dim, self.phi.dim}
         if len(dims) != 1:
             raise ValueError(f"dimension mismatch across instance parts: {dims}")
+        points, rows = math.prod(self.box.samples), math.prod(self.phi.grid_sizes)
+        if points * rows > CELL_BUDGET:
+            raise ValueError(
+                f"instance too large: {points} grid points x {rows} parameter rows"
+                f" = {points * rows} cells, above the budget of {CELL_BUDGET}"
+            )
         if not np.any(np.isfinite(objective_values(self.f, self.g, self.box))):
             raise ValueError("dom(f) and dom(g) do not meet on the working grid")
 

@@ -679,11 +679,17 @@ def pieces(*specs: tuple) -> PiecewiseQuadratic:
 
 
 class _BoxedTable:
-    """Evaluator of a table read from an instance document: `lookup` (with
-    a batch `values`) on the box, +inf outside it."""
+    """Evaluator of a table read from an instance document: `lookup` (a
+    `serialize.NearestLookup`: a batch `values` and its `table`) on the box,
+    +inf outside it."""
 
     def __init__(self, box: BoxDomain, lookup):
         self.lookup, self.lower, self.upper = lookup, np.array(box.lower), np.array(box.upper)
+
+    def grid_values(self) -> np.ndarray:
+        """The values at the box's own grid points: the table itself, which
+        lists them in grid order."""
+        return np.array(self.lookup.table, dtype=float)
 
     def __call__(self, p: Point) -> float:
         return float(self.values(np.array([p], dtype=float))[0])
@@ -734,7 +740,8 @@ class TabulatedFunction:
     method = GRID_ORACLE
 
     def __post_init__(self):
-        vals = self.values(self.box.grid().points)
+        ev = self.evaluator
+        vals = ev.grid_values() if isinstance(ev, _BoxedTable) else self.values(self.box.grid().points)
         if np.any(np.isnan(vals)):
             raise ValueError("function values must not be NaN")
         if np.any(vals == NEG_INF):

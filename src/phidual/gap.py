@@ -6,25 +6,34 @@ Two routes to certifying a zero gap are implemented and bridged:
   the intersection property at level alpha iff some convex combination of
   them dominates alpha everywhere (checked exactly for elementary functions);
 * the sum condition: 0 lies in (eps-subdifferential of f + eps-subdifferential
-  of g)(X) for every tested eps, searched over zero-sum pairs in the class.
+  of g)(X) for every tested eps, over zero-sum pairs in the class.  Each eps
+  is decided from the instance's values where the mathematics allows: the
+  primal minimizer paired with the maximizer of the box dual d_box is a
+  witness for every eps at least its gap, and below half of
+  val(P) - sup d_box no pair exists (a proven negative over the box and the
+  truncated slopes, in 1D); only the band between runs a grid search.
 
 A failed certificate search is always reported as inconclusive, never as a
-disproof -- the searches are truncated.
+disproof -- the searches are truncated; the sum condition's half-gap bound
+is the one proven negative, and it names the set it covers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import INF, NEG_INF, BoxDomain, Point, ext_to_json, is_finite
-from .conjugation import _sweep_and_refine, phi_conjugate
+from .conjugation import _maximize_concave, _sweep_and_refine, phi_conjugate
 from .duality import ProblemInstance, _members_by_dual_value
 from .functions import (
+    CLOSED_FORM,
     Elementary,
+    PhiClass,
     ProperFunction,
     UnsupportedClassError,
     quad_inf_on_interval,
@@ -258,20 +267,31 @@ def certify_zero_gap_via_intersection(
 
 @dataclass
 class EpsWitness:
+    """The outcome at one eps and how it was decided: "winner" (the pair of
+    the primal minimizer and the box dual's maximizer, verified), "bound"
+    (proven none by the half-gap bound; `none_over` names the set it covers)
+    or "search" (the grid search of the band between)."""
+
     eps: float
     found: bool
     x_bar: Optional[Point]
     phi: Optional[Elementary]
     verified: bool
+    decided_by: str = "search"
+    none_over: Optional[dict] = None
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "eps": self.eps,
             "found": self.found,
             "x_bar": list(self.x_bar) if self.x_bar else None,
             "phi": None if self.phi is None else {"a": self.phi.a, "v": list(self.phi.v), "c": self.phi.c},
             "verified": self.verified,
+            "decided_by": self.decided_by,
         }
+        if self.none_over is not None:
+            out["none_over"] = dict(self.none_over)
+        return out
 
 
 @dataclass
@@ -291,10 +311,115 @@ class BuiConditionResult:
 
 
 def _pair_margins(
-    f: ProperFunction, box: BoxDomain, vs: np.ndarray, sign: float
-) -> np.ndarray:
-    """inf over the box of f(x) - sign*<v, x>, per row of vs."""
-    return -f.sup_quadratic_offset_many(np.zeros(len(vs)), sign * vs, 0.0, box)
+    f: ProperFunction, box: BoxDomain, vs: np.ndarray, sign: float, points: bool = False
+):
+    """inf over the box of f(x) - sign*<v, x>, per row of vs; with `points`,
+    (values, attaining points)."""
+    r = f.sup_quadratic_offset_many(np.zeros(len(vs)), sign * vs, 0.0, box, points=points)
+    return (-r[0], r[1]) if points else -r
+
+
+def _box_dual(inst: ProblemInstance, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d_box(v) = inf_box(f + <v, .>) + inf_box(g - <v, .>) per row of vs,
+    and its Danskin supergradient x_f - x_g from the attaining points."""
+    m_f, x_f = _pair_margins(inst.f, inst.box, vs, -1.0, points=True)
+    m_g, x_g = _pair_margins(inst.g, inst.box, vs, +1.0, points=True)
+    return m_f + m_g, x_f - x_g
+
+
+def _cut_bound(cuts: dict, lower: float, upper: float) -> float:
+    """An upper bound of a concave d on [lower, upper] from its evaluated
+    cuts {v: (d(v), s(v))}.  Every cut d(v) + s(v)*(u - v) lies above d, so
+    the maximum over the interval of the least of two of them bounds d
+    (Kelley, J. SIAM 8(4), 1960).  The two taken are the last v with
+    s >= 0 and the first with s <= 0, which bracket the maximum; with one
+    side missing, the one cut's maximum at an end of the interval."""
+    rising = [v for v, (_, s) in cuts.items() if s >= 0.0]
+    falling = [v for v, (_, s) in cuts.items() if s <= 0.0]
+    ends = ([max(rising)] if rising else []) + ([min(falling)] if falling else [])
+    lines = [(cuts[v][0] - cuts[v][1] * v, cuts[v][1]) for v in ends]  # (intercept, slope)
+    us = [lower, upper]
+    if len(lines) == 2 and lines[0][1] != lines[1][1]:
+        u = (lines[1][0] - lines[0][0]) / (lines[0][1] - lines[1][1])
+        us += [u] if lower < u < upper else []
+    return max(min(c + s * u for c, s in lines) for u in us)
+
+
+def _box_dual_winner(inst: ProblemInstance, sub: PhiClass) -> tuple[Point, Optional[float]]:
+    """(v*, U): the best v found for d_box over the symmetric subclass `sub`
+    and, when `sub` has at most one parameter, an upper bound U of d_box
+    over |v| <= v_max (None with two parameters).
+
+    With no parameter d_box is its one value.  With one, the grid winner is
+    solved to the maximum by `_maximize_concave`, and U is `_cut_bound` of
+    the cuts it evaluated, never the best value found.
+    """
+    params = sub.param_grid()
+    vs = sub.split_params(params)[1]
+    d = _box_dual(inst, vs)[0]
+    i = int(np.argmax(d))
+    v_grid = tuple(float(c) for c in vs[i])
+    if sub.n_params == 0:
+        return v_grid, float(d[i])
+    if sub.n_params > 1:
+        return v_grid, None
+    cuts: dict = {}
+
+    def oracle(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dv, sv = _box_dual(inst, v[:, None])
+        cuts.update(zip(v.tolist(), zip(dv.tolist(), sv[:, 0].tolist())))
+        return dv, sv[:, 0]
+
+    (axis,) = sub.param_axes()
+    step, v_max = float(axis[1] - axis[0]), sub.v_max
+    v = _maximize_concave(oracle, v_grid[0], step, -v_max, v_max)[1]
+    return (float(v),), _cut_bound(cuts, -v_max, v_max)
+
+
+def _grid_search(inst: ProblemInstance, sub: PhiClass, tol: float):
+    """The band's search: eps -> (v, x_bar) or None, over x_bar on the box
+    grid and v on the grid of `sub`, plus one v refined from the row needing
+    the least eps once some eps has no witness on the grid.  The grid rows
+    and the refined row are computed at the first eps that needs them."""
+    pts, params = inst.box.grid().points, sub.param_grid()
+
+    def margins(rows: np.ndarray) -> tuple:
+        """v, g - <v, x>, inf(g - <v, .>), f + <v, x>, inf(f + <v, .>) per row."""
+        vs = sub.split_params(rows)[1]
+        vx = vs @ pts.T  # (Nv, M)
+        gv = values_on_grid(inst.g.rep, inst.box)
+        fv = values_on_grid(inst.f.rep, inst.box)
+        m_g = _pair_margins(inst.g, inst.box, vs, +1.0)[:, None]
+        m_f = _pair_margins(inst.f, inst.box, vs, -1.0)[:, None]
+        return vs, gv[None, :] - vx, m_g, fv[None, :] + vx, m_f
+
+    def minus_least_eps(m: tuple) -> np.ndarray:
+        return -np.min(np.maximum(m[1] - m[2], m[3] - m[4]), axis=1)
+
+    @cache
+    def grid_rows() -> tuple:
+        return margins(params)
+
+    @cache
+    def with_refined() -> tuple:
+        m = grid_rows()
+        _, p = _sweep_and_refine(lambda r: minus_least_eps(margins(r)), sub, params, minus_least_eps(m))
+        return m if p is None else tuple(map(np.concatenate, zip(m, margins(np.array([p])))))
+
+    def first_hit(m: tuple, eps: float):
+        vs, gx, m_g, fx, m_f = m
+        hit = np.argwhere((gx <= (m_g + eps + tol)) & (fx <= (m_f + eps + tol)))
+        return (vs[hit[0, 0]], pts[hit[0, 1]]) if hit.size else None
+
+    return lambda eps: first_hit(grid_rows(), eps) or first_hit(with_refined(), eps)
+
+
+def _is_pair_witness(inst: ProblemInstance, x_bar: Point, phi: Elementary, eps: float, tol: float) -> bool:
+    """phi an eps-subgradient of g and -phi one of f at x_bar (`is_eps_subgradient`)."""
+    return (
+        is_eps_subgradient(inst.g, x_bar, phi, eps, inst.box, tol).holds
+        and is_eps_subgradient(inst.f, x_bar, phi.negated(), eps, inst.box, tol).holds
+    )
 
 
 def check_bui_condition(
@@ -302,59 +427,63 @@ def check_bui_condition(
     eps_list: Sequence[float] = DEFAULT_EPS_LIST,
     tol: float = 1e-9,
 ) -> BuiConditionResult:
-    """For each eps, search a point x_bar and a zero-sum pair (phi, -phi) with
-    phi an eps-subgradient of g and -phi one of f at x_bar.
+    """For each eps, a point x_bar and a zero-sum pair (phi, -phi) with phi
+    an eps-subgradient of g and -phi one of f at x_bar, or none.
 
     Zero-sum pairs in these classes are affine (quadratic parts of a pair
-    summing to zero must both vanish), so the search runs over the linear
-    coefficient v and the grid of x_bar; constants cancel and stay 0.  When
-    some eps has no witness on the v grid, the grid gains one v, refined from
-    the row needing the least eps.  Found witnesses are re-verified through
-    `is_eps_subgradient`.
+    summing to zero must both vanish), so a pair is a slope v; constants
+    cancel and stay 0.  The two slacks of (x_bar, v) sum to
+    f(x_bar) + g(x_bar) - d_box(v), with d_box(v) = inf_box(f + <v, .>) +
+    inf_box(g - <v, .>), so they are at least G = val(P) - sup d_box.  Each
+    eps is decided, in this order:
+
+    1. winner: x* = argmin P and phi = (0, v*), v* the best v of d_box
+       (`_box_dual_winner`), pass `is_eps_subgradient` on both sides; both
+       slacks are at most val(P) - d_box(v*), so every eps at least that
+       gap is found here;
+    2. bound: with at most one v parameter (every 1D class), no pair in
+       the box (its grid for a tabulated member) times |v| <= v_max works
+       when 2*(eps + tol) < val(P) - U - margin, U a sound upper bound of
+       sup d_box (`_cut_bound`) and margin = 1e-12*(1 + |val(P)| + |U| +
+       v_max*max|x|) the allowance for rounding;
+    3. search: the eps left, in the band [G/2, gap(v*)) and in 2D, run the
+       grid search (`_grid_search`); its witnesses are verified through
+       `is_eps_subgradient`, and a miss is inconclusive.
     """
     if not (inst.phi.contains_zero and inst.phi.additive):
         raise UnsupportedClassError(
             "the sum condition needs 0 in the class and additivity"
         )
+    if not len(eps_list):
+        raise ValueError("the eps list must not be empty")
     if any(not eps >= 0 for eps in eps_list):
         raise ValueError("eps values must be >= 0")
-    sub, pts = inst.phi.symmetric_subclass(), inst.box.grid().points
-    gv = values_on_grid(inst.g.rep, inst.box)
-    fv = values_on_grid(inst.f.rep, inst.box)
-
-    def margins(rows: np.ndarray) -> tuple:
-        """v, g - <v, x>, inf(g - <v, .>), f + <v, x>, inf(f + <v, .>) per row."""
-        vs = sub.split_params(rows)[1]
-        vx = vs @ pts.T  # (Nv, M)
-        m_g = _pair_margins(inst.g, inst.box, vs, +1.0)[:, None]
-        m_f = _pair_margins(inst.f, inst.box, vs, -1.0)[:, None]
-        return vs, gv[None, :] - vx, m_g, fv[None, :] + vx, m_f
-
-    def first_hit(m: tuple, eps: float):
-        vs, gx, m_g, fx, m_f = m
-        hit = np.argwhere((gx <= (m_g + eps + tol)) & (fx <= (m_f + eps + tol)))
-        return (vs[hit[0, 0]], pts[hit[0, 1]]) if hit.size else None
-
-    def minus_least_eps(m: tuple) -> np.ndarray:
-        return -np.min(np.maximum(m[1] - m[2], m[3] - m[4]), axis=1)
-
-    params = sub.param_grid()
-    m, per = margins(params), []
+    sub = inst.phi.symmetric_subclass()
+    v_star, upper = _box_dual_winner(inst, sub)
+    val_p, x_star = inst.primal
+    winner = Elementary(0.0, v_star, 0.0)
+    half_gap, none_over = NEG_INF, None
+    if upper is not None:
+        v_max = sub.v_max if sub.n_params else 0.0  # the constant-only v is 0
+        reach = max(abs(c) for c in inst.box.lower + inst.box.upper)
+        margin = 1e-12 * (1.0 + abs(val_p) + abs(upper) + v_max * reach)
+        half_gap = 0.5 * (val_p - upper - margin)
+        none_over = {
+            "box": {"lower": list(inst.box.lower), "upper": list(inst.box.upper)},
+            "x_on_grid": inst.method != CLOSED_FORM,
+            "v_max": v_max,
+            "half_gap": half_gap,
+        }
+    search, per = _grid_search(inst, sub, tol), []
     for eps in eps_list:
-        hit = first_hit(m, eps)
-        if hit is None and len(m[0]) == len(params):
-            # no witness on the v grid: add v refined from the row needing the least eps
-            _, p = _sweep_and_refine(lambda r: minus_least_eps(margins(r)), sub, params, minus_least_eps(m))
-            m = m if p is None else tuple(map(np.concatenate, zip(m, margins(np.array([p])))))
-            hit = first_hit(m, eps)
-        if hit:
-            phi = Elementary(0.0, tuple(hit[0]), 0.0)
+        if _is_pair_witness(inst, x_star, winner, eps, tol):
+            per.append(EpsWitness(eps, True, x_star, winner, True, "winner"))
+        elif eps + tol < half_gap:
+            per.append(EpsWitness(eps, False, None, None, False, "bound", none_over))
+        elif hit := search(eps):
+            phi = Elementary(0.0, tuple(float(c) for c in hit[0]), 0.0)
             x_bar = tuple(float(c) for c in hit[1])
-            verified = (
-                is_eps_subgradient(inst.g, x_bar, phi, eps, inst.box).holds
-                and is_eps_subgradient(inst.f, x_bar, phi.negated(), eps, inst.box).holds
-            )
-            per.append(EpsWitness(eps, True, x_bar, phi, verified))
+            per.append(EpsWitness(eps, True, x_bar, phi, _is_pair_witness(inst, x_bar, phi, eps, tol)))
         else:
             per.append(EpsWitness(eps, False, None, None, False))
     overall = all(w.found and w.verified for w in per)

@@ -22,9 +22,12 @@ from phidual import (
     ext_to_json,
     proper_piecewise,
 )
+from phidual.conjugation import _sweep_and_refine
 from phidual.core import BatchObjective, Point, extremum_on_box
 from phidual.duality import objective_values
-from phidual.functions import CLOSED_FORM
+from phidual.functions import CLOSED_FORM, UnsupportedClassError, values_on_grid
+from phidual.gap import BuiConditionResult, EpsWitness, _pair_margins
+from phidual.subdifferential import is_eps_subgradient
 
 INF = math.inf
 
@@ -268,6 +271,69 @@ def pointwise_halving_search(
         best_v, best_p = round_v, round_p
         radii = [r / 2.0 for r in radii]
     return sign * best_v, best_p
+
+
+def grid_search_bui_condition(
+    inst: ProblemInstance,
+    eps_list: Sequence[float] = (1.0, 0.1, 0.01, 0.001),
+    tol: float = 1e-9,
+) -> BuiConditionResult:
+    """For each eps, search a point x_bar and a zero-sum pair (phi, -phi) with
+    phi an eps-subgradient of g and -phi one of f at x_bar.
+
+    The search `check_bui_condition` ran for every eps before it decided
+    most of them from the instance's own values, kept verbatim as the
+    reference: x_bar over the box grid, v over the symmetric subclass's
+    grid, plus one v refined from the row needing the least eps when some
+    eps has no witness on the grid.
+    """
+    if not (inst.phi.contains_zero and inst.phi.additive):
+        raise UnsupportedClassError(
+            "the sum condition needs 0 in the class and additivity"
+        )
+    if any(not eps >= 0 for eps in eps_list):
+        raise ValueError("eps values must be >= 0")
+    sub, pts = inst.phi.symmetric_subclass(), inst.box.grid().points
+    gv = values_on_grid(inst.g.rep, inst.box)
+    fv = values_on_grid(inst.f.rep, inst.box)
+
+    def margins(rows: np.ndarray) -> tuple:
+        """v, g - <v, x>, inf(g - <v, .>), f + <v, x>, inf(f + <v, .>) per row."""
+        vs = sub.split_params(rows)[1]
+        vx = vs @ pts.T  # (Nv, M)
+        m_g = _pair_margins(inst.g, inst.box, vs, +1.0)[:, None]
+        m_f = _pair_margins(inst.f, inst.box, vs, -1.0)[:, None]
+        return vs, gv[None, :] - vx, m_g, fv[None, :] + vx, m_f
+
+    def first_hit(m: tuple, eps: float):
+        vs, gx, m_g, fx, m_f = m
+        hit = np.argwhere((gx <= (m_g + eps + tol)) & (fx <= (m_f + eps + tol)))
+        return (vs[hit[0, 0]], pts[hit[0, 1]]) if hit.size else None
+
+    def minus_least_eps(m: tuple) -> np.ndarray:
+        return -np.min(np.maximum(m[1] - m[2], m[3] - m[4]), axis=1)
+
+    params = sub.param_grid()
+    m, per = margins(params), []
+    for eps in eps_list:
+        hit = first_hit(m, eps)
+        if hit is None and len(m[0]) == len(params):
+            # no witness on the v grid: add v refined from the row needing the least eps
+            _, p = _sweep_and_refine(lambda r: minus_least_eps(margins(r)), sub, params, minus_least_eps(m))
+            m = m if p is None else tuple(map(np.concatenate, zip(m, margins(np.array([p])))))
+            hit = first_hit(m, eps)
+        if hit:
+            phi = Elementary(0.0, tuple(hit[0]), 0.0)
+            x_bar = tuple(float(c) for c in hit[1])
+            verified = (
+                is_eps_subgradient(inst.g, x_bar, phi, eps, inst.box).holds
+                and is_eps_subgradient(inst.f, x_bar, phi.negated(), eps, inst.box).holds
+            )
+            per.append(EpsWitness(eps, True, x_bar, phi, verified))
+        else:
+            per.append(EpsWitness(eps, False, None, None, False))
+    overall = all(w.found and w.verified for w in per)
+    return BuiConditionResult(tuple(eps_list), per, overall)
 
 
 # ---------------------------------------------------------------------------

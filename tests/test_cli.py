@@ -469,3 +469,21 @@ def test_cli_rejects_non_object_fields(tmp_path, capsys, path, value):
         parse_instance(doc)
     assert main(["dual-report", "--instance", _write_instance(tmp_path, doc)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_refuses_an_oversized_grid(monkeypatch, capsys):
+    from phidual import BoxDomain
+
+    def refuse(self):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(BoxDomain, "axes", refuse)
+    assert main(["dual-report", "--catalog", "example-6.1", "--grid", "100000000"]) == 1
+    assert "error: instance too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps_list", ["", ","])
+def test_cli_rejects_an_empty_eps_list(capsys, eps_list):
+    # an empty --eps-list once fell back to the default list without a word
+    assert main(["gap-analyze", "--catalog", "example-6.1", "--eps-list", eps_list]) == 1
+    assert "error: the eps list must not be empty" in capsys.readouterr().err

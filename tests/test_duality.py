@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from phidual import (
+    BoxDomain,
     Elementary,
     INF,
     NEG_INF,
+    PhiClass,
     ProblemInstance,
+    ProperFunction,
+    TabulatedFunction,
     UnsupportedClassError,
+    catalog_names,
     coupling,
     duality_chain_report,
     get_entry,
@@ -352,3 +357,50 @@ def test_chain_report_sweeps_each_dual_program_once(monkeypatch, name, sweeps):
     report = duality_chain_report(inst)
     assert len(calls) == sweeps
     assert report.val_CD_sym == val_cd_sym(inst)[0]
+
+
+class _Bowl:
+    """|x|^2 on any box, per point or batched."""
+
+    def __call__(self, p):
+        return sum(c * c for c in p)
+
+    def values(self, points):
+        return np.sum(points * points, axis=1)
+
+
+def _bowl(box: BoxDomain) -> ProperFunction:
+    return ProperFunction.from_tabulated(TabulatedFunction(box, _Bowl()))
+
+
+def test_oversized_instance_is_refused_before_its_grid_is_built(monkeypatch):
+    bowl2 = _bowl(BoxDomain((-1.0, -1.0), (1.0, 1.0), (3, 3)))
+
+    def refuse(self):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(BoxDomain, "axes", refuse)
+    sizes = [
+        (PAIR.f, box1d(n=10**6), lsc_class()),  # 1e6 points x 4225 rows
+        (PAIR.f, box1d(n=10**9), PhiClass("constant-only")),  # 1e9 points x 1 row
+        (bowl2, BoxDomain((-1.0, -1.0), (1.0, 1.0), (4001, 4001)), PhiClass("affine", dim=2)),
+    ]
+    for f, box, phi in sizes:
+        with pytest.raises(ValueError, match="budget"):
+            ProblemInstance(f, f, box, phi)
+
+
+def test_resource_budget_admits_the_shipped_sizes():
+    # the catalog, exact-1d and grid-1d (2001 points, 65 x 65 rows), the
+    # 41 x 41 2D test tables and the CLI's 2D default (201 x 201, 17^3 rows)
+    for name in catalog_names():
+        get_entry(name).build()
+    ProblemInstance(PAIR.f, PAIR.g, box1d(), lsc_class())
+    box41 = BoxDomain((-2.0, -2.0), (2.0, 2.0), (41, 41))
+    box201 = BoxDomain((-1.0, -1.0), (1.0, 1.0), (201, 201))
+    for box, phi in [
+        (box41, PhiClass("affine", dim=2, grid_sizes=(9, 9))),
+        (box41, PhiClass("lsc-quadratic", dim=2, grid_sizes=(5, 9, 9))),
+        (box201, PhiClass("lsc-quadratic", dim=2)),
+    ]:
+        ProblemInstance(_bowl(box), _bowl(box), box, phi)

@@ -193,3 +193,26 @@ def test_values_on_grid_reads_a_tables_own_grid_values():
     other = box1d(-1.0, 2.0, 7)
     want = np.array([p[0] * p[0] - p[0] for p in other.grid()])
     assert values_on_grid(tab, other).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("doc_name", ["twin-1d", "table-2d"])
+def test_document_tables_take_their_grid_values_from_the_table(monkeypatch, doc_name):
+    # a table read from a document lists its values at its own grid points,
+    # so building it looks nothing up; the values are the lookup's, bit for bit
+    from phidual import get_entry
+    from phidual.serialize import NearestLookup, parse_instance
+
+    from oracles import table_2d_doc, twin_document
+
+    doc = {"twin-1d": lambda: twin_document(get_entry("example-6.1").build()),
+           "table-2d": table_2d_doc}[doc_name]()
+    calls = []
+    lookup = NearestLookup.values
+    monkeypatch.setattr(NearestLookup, "values", lambda self, p: calls.append(p) or lookup(self, p))
+    inst = parse_instance(doc)
+    assert calls == []
+    for fn in (inst.f, inst.g):
+        tab = fn.tabulated
+        points = tab.box.grid().points
+        assert tab.grid_values.tobytes() == tab.values(points).tobytes()
+        assert not tab.grid_values.flags.writeable
