@@ -115,7 +115,7 @@ def _config(args) -> RunConfig:
         a_max=args.a_max,
         v_max=args.v_max,
         eps_list=_floats(args.eps_list) if args.eps_list is not None else None,
-        alpha_list=_floats(args.alpha_list) if args.alpha_list else None,
+        alpha_list=_floats(args.alpha_list) if args.alpha_list is not None else None,
         tol=args.tol,
         fmt=args.format,
         out=args.out,

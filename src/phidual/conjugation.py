@@ -6,11 +6,11 @@ For phi(x) = -a*||x||^2 + <v, x> + c the two one-sided transforms are
     left:   *f(phi)  = sup_x -f(x) - phi(x)
 
 Each is one call of the function's `sup_quadratic_offset` with the quadratic
-phi (right) or -phi (left): exact for piecewise quadratics, a grid oracle
-with an expanding-box divergence sentinel for tabulated functions (see
-`functions`).  By default the sup runs over the function's own conceptual
-domain; `restrict_to_box=True` limits the quantifier to the working box,
-which is what the subgradient-side tests use.
+phi (right) or -phi (left): exact for piecewise quadratics, the maximum over
+the box's grid for tabulated functions, which are +inf outside their box
+(see `functions`).  By default the sup runs over the function's own
+conceptual domain; `restrict_to_box=True` limits the quantifier to the
+working box, which is what the subgradient-side tests use.
 
 `conjugate_table` and `biconjugate_on_grid` are maxima over the parameter
 lattice (a axis x v rows).  In 1D both sweep it with the monotone-argmax

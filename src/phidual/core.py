@@ -350,6 +350,8 @@ def diverges_on_expanding_boxes(
     `cap`, when the value grows by more than GROWTH_FACTOR between sweeps, or
     when the sweep-to-sweep increments fail to shrink (log-or-faster growth).
     Behaviour outside the scanned region is, by construction, unverified.
+    No library module calls it (every tabulated sup is a grid maximum);
+    `perfbench/layertrace.py` still names it.
     """
     sign = 1.0 if kind == "sup" else -1.0
     vals = []

@@ -7,20 +7,21 @@ and both representations offer the same small interface:
 * ``values(points)`` on an (N, dim) array;
 * ``sup_quadratic_offset(qa, qb, qc, box, restrict)``, the sup of
   ``qa*|x|^2 + <qb, x> + qc - f(x)`` over the box or the whole space,
-  ``sup_quadratic_offset_many`` over parameter rows (for tables these rows
-  are grid maxima on the box, with or without ``restrict``) and
+  ``sup_quadratic_offset_many`` over parameter rows and
   ``sup_quadratic_offset_lattice`` over every pair of a ``qa`` axis and
-  ``qb`` rows;
+  ``qb`` rows (a table is +inf outside its box, so each of its sups is the
+  maximum over the box's grid, with or without ``restrict``);
 * ``shifted(a)``, the function ``f - a*|x|^2``.
 
 Conjugates, subgradient tests and Lagrangian slices are all such sups.
 :class:`PiecewiseQuadratic` (1D, finitely many quadratic pieces, +inf
 outside their union) computes them exactly by vertex clamping;
-:class:`TabulatedFunction` (a black-box evaluator over a box) by grid
-oracles: dense (rows x grid points) maxima, except for a 1D lattice, which
-`_monotone_row_max` sweeps in O((N + M) log N) cells per ``qa`` with the
-same cells' values: the least and greatest ``qb`` rows over every grid
-point, the rows between only over the points their argmaxima bracket.
+:class:`TabulatedFunction` (a black-box evaluator on a box, +inf outside
+it) as exact maxima over the box's grid: dense (rows x grid points)
+maxima, except for a 1D lattice, which `_monotone_row_max` sweeps in
+O((N + M) log N) cells per ``qa`` with the same cells' values: the least
+and greatest ``qb`` rows over every grid point, the rows between only over
+the points their argmaxima bracket.
 
 Elementary functions are x |-> -a*||x||^2 + <v, x> + c with a >= 0; a = 0
 gives the affine class.  :class:`PhiClass` is a truncated, searchable
@@ -44,12 +45,9 @@ from .core import (
     Point,
     _values_at,
     as_point,
-    diverges_on_expanding_boxes,
     dot,
     is_finite,
     norm_sq,
-    refine_extremum,
-    sup_on_grid,
 )
 
 CLOSED_FORM = "closed-form"
@@ -71,7 +69,8 @@ def quad_sup_on_interval(
     """sup of A*x^2 + B*x + C over [lo, hi]; lo/hi may be infinite.
 
     Returns (value, attaining x); the attaining point is None when the sup is
-    +inf.  Ties resolve to the smaller x.
+    +inf (also when it exceeds float range at a vertex beyond it, for a tiny
+    negative A).  Ties resolve to the smaller x.
     """
     if lo > hi:
         raise ValueError("empty interval")
@@ -96,7 +95,7 @@ def quad_sup_on_interval(
     for v, x in cands[1:]:
         if v > best_v or (v == best_v and x < best_x):
             best_v, best_x = v, x
-    return best_v, best_x
+    return best_v, (None if best_v == INF else best_x)
 
 
 def quad_inf_on_interval(
@@ -116,7 +115,9 @@ def quad_sup_on_interval_many(
     first of the candidates lo, hi, the vertex -B/(2A) and (for A = B = 0)
     0 clamped to [lo, hi] whose candidate value is the entry's value, NaN
     where the sup is +inf.  The candidate values are (A*x + B)*x + C at an
-    end, C - B*B/(4A) at the vertex and C on a flat entry.
+    end, C - B*B/(4A) at the vertex and C on a flat entry; for a tiny
+    negative A the vertex and its value may exceed float range, and that
+    +inf is the value.
     """
     vals = np.full(np.shape(A), NEG_INF)
     cands = []
@@ -126,7 +127,7 @@ def quad_sup_on_interval_many(
             vals = np.maximum(vals, q)
             cands.append((q, end))
     concave = A < 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xv = np.where(concave, -B / (2.0 * np.where(concave, A, 1.0)), 0.0)
         vtx = C - np.where(concave, B * B / (4.0 * np.where(concave, A, 1.0)), 0.0)
     hit = concave & (xv >= lo) & (xv <= hi)
@@ -145,7 +146,7 @@ def quad_sup_on_interval_many(
     x = np.full(np.shape(A), np.nan)
     for q, xq in reversed(cands):
         x = np.where(q == vals, xq, x)
-    return vals, x
+    return vals, np.where(vals == INF, np.nan, x)
 
 
 def _squares(points: np.ndarray):
@@ -678,57 +679,89 @@ def pieces(*specs: tuple) -> PiecewiseQuadratic:
 # ---------------------------------------------------------------------------
 
 
-class _BoxedTable:
-    """Evaluator of a table read from an instance document: `lookup` (a
-    `serialize.NearestLookup`: a batch `values` and its `table`) on the box,
-    +inf outside it."""
+def _nearest_on_axis(ax: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """First index of the minimum of |ax - c_i| for each c_i (ax ascending).
 
-    def __init__(self, box: BoxDomain, lookup):
-        self.lookup, self.lower, self.upper = lookup, np.array(box.lower), np.array(box.upper)
+    Along a sorted axis the float distances fall and then rise, so the
+    nearest point is one of the two neighbours of c_i's insertion point, the
+    lower one on a tie.  Where rounding makes the lower neighbour's distance
+    repeat further down the axis (c_i far outside the axis, infinite or NaN),
+    the first index with that distance is found by a scan of the axis.
+    """
+    hi = np.searchsorted(ax, c)  # first index with ax[i] >= c_i
+    lo = np.maximum(hi - 1, 0)
+    s_lo = ax[lo] - c
+    take_lo = (hi > 0) & (np.abs(s_lo) <= np.abs(ax[np.minimum(hi, len(ax) - 1)] - c))
+    k = np.where(take_lo, lo, hi)
+    rescan = (take_lo & (lo > 0) & (ax[lo - 1] - c == s_lo)) | np.isnan(c)
+    for i in np.flatnonzero(rescan):
+        k[i] = np.argmin(np.abs(ax - c[i]))
+    return k
 
-    def grid_values(self) -> np.ndarray:
-        """The values at the box's own grid points: the table itself, which
-        lists them in grid order."""
-        return np.array(self.lookup.table, dtype=float)
+
+class NearestLookup:
+    """Evaluator of a table given at the grid points of a box.
+
+    A point takes the value of its nearest grid point, axis by axis; a
+    coordinate exactly halfway between two axis points takes the lower one,
+    and a coordinate outside the box takes the nearest end point, so the
+    lookup extends as a constant outside the box (a `TabulatedFunction` on
+    the same box is +inf there).  `values(points)` looks up a whole (N, dim)
+    array at once.
+    """
+
+    def __init__(self, box: BoxDomain, table: np.ndarray):
+        self.box = box
+        self.axes = box.axes()
+        self.shape = tuple(box.samples)
+        self.table = table
+
+    def index(self, points: np.ndarray) -> np.ndarray:
+        """Flat table index of every row of an (N, dim) array."""
+        pts = np.asarray(points, dtype=float)
+        idx = tuple(_nearest_on_axis(ax, pts[:, k]) for k, ax in enumerate(self.axes))
+        return np.ravel_multi_index(idx, self.shape)
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        return self.table[self.index(points)]
 
     def __call__(self, p: Point) -> float:
         return float(self.values(np.array([p], dtype=float))[0])
 
-    def values(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        inside = np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
-        return np.where(inside, self.lookup.values(pts), INF)
 
+class _Shifted:
+    """x -> h(x) - a*|x|^2 for a table h, per point or batched, summed as
+    (-a*|x|^2 + 0.0) + h(x)."""
 
-class _TableOffset:
-    """x -> s*h(x) + qa*|x|^2 + <qb, x> + qc for a table h and s = +1 or -1,
-    per point or batched."""
-
-    def __init__(self, tab: "TabulatedFunction", s: float, qa: float, qb: Point = (), qc: float = 0.0):
-        self.tab, self.s, self.qa, self.qb, self.qc = tab, s, qa, qb, qc
+    def __init__(self, tab: "TabulatedFunction", a: float):
+        self.tab, self.a = tab, a
 
     def __call__(self, x) -> float:
         p = as_point(x)
-        return self.qa * norm_sq(p) + dot(self.qb, p) + self.qc + self.s * self.tab(p)
+        return -self.a * norm_sq(p) + 0.0 + self.tab(p)
 
     def values(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        quad = self.qa * _squares(pts) + _dots(self.qb, pts) + self.qc
-        return quad + self.s * self.tab.values(pts)
+        return -self.a * _squares(pts) + 0.0 + self.tab.values(pts)
 
 
 @dataclass(frozen=True)
 class TabulatedFunction:
     """A box plus a deterministic black-box evaluator into (-inf, +inf].
 
-    The evaluator is called with a point tuple.  It may also offer a batch
-    method `values(points)` taking an (N, dim) array and returning the N
-    values the per-point calls would return; grid sweeps then make one call
-    instead of N.  Sups of (quadratic - h) are grid oracles on the working
-    box: a grid maximum, locally refined and guarded by the expanding-box
-    divergence sentinel when the sup runs over the whole space.  A table read
-    from an instance document is +inf outside its box (`_BoxedTable`), so
-    every sup over it, or over its shifts, stays on the grid.
+    The function is the evaluator on the box and +inf outside it; the
+    evaluator is never called outside the box.  It is called with a point
+    tuple, and it may also offer a batch method `values(points)` taking an
+    (N, dim) array and returning the N values the per-point calls would
+    return; grid sweeps then make one call instead of N.  A `NearestLookup`
+    on the same box (a table read from an instance document) gives its grid
+    values as its table, with no lookup.
+
+    The function is known only at the box's grid points, so every sup of
+    (quadratic - h) is the maximum over that grid, with or without
+    `restrict`: the discrete Legendre transform (Lucet, Numer. Algorithms
+    16, 1997).  `sup_quadratic_offset` is the one-row
+    `sup_quadratic_offset_many`, so both give the same value and point.
     """
 
     box: BoxDomain
@@ -741,7 +774,10 @@ class TabulatedFunction:
 
     def __post_init__(self):
         ev = self.evaluator
-        vals = ev.grid_values() if isinstance(ev, _BoxedTable) else self.values(self.box.grid().points)
+        if isinstance(ev, NearestLookup) and ev.box == self.box:
+            vals = np.array(ev.table, dtype=float)
+        else:
+            vals = self.values(self.box.grid().points)
         if np.any(np.isnan(vals)):
             raise ValueError("function values must not be NaN")
         if np.any(vals == NEG_INF):
@@ -756,19 +792,20 @@ class TabulatedFunction:
         return self.box.dim
 
     def __call__(self, x) -> float:
-        return float(self.evaluator(as_point(x)))
+        p = as_point(x)
+        return float(self.evaluator(p)) if self.box.contains(p) else INF
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Values at every row of an (N, dim) array (see the class docstring)."""
-        return _values_at(self.evaluator, points)
+        pts = np.asarray(points, dtype=float)
+        inside = np.all((pts >= self.box.lower) & (pts <= self.box.upper), axis=1)
+        out = np.full(len(pts), INF)
+        out[inside] = _values_at(self.evaluator, pts[inside])
+        return out
 
     def _values_on(self, box: BoxDomain) -> np.ndarray:
         """h at the grid points of `box` (read-only)."""
         return self.grid_values if box == self.box else values_on_grid(self, box)
-
-    def _on_grid(self) -> bool:
-        ev = self.evaluator
-        return isinstance(ev, _BoxedTable) or (isinstance(ev, _TableOffset) and ev.tab._on_grid())
 
     def _offsets_on_grid(self, qa: np.ndarray, qb: np.ndarray, box: BoxDomain) -> np.ndarray:
         """qa*|x|^2 + <qb, x> - h(x), one row per (qa, qb) row, one column per grid point."""
@@ -782,24 +819,11 @@ class TabulatedFunction:
         box: BoxDomain,
         restrict: bool = True,
     ) -> tuple[float, Optional[Point]]:
-        """sup of (qa*|x|^2 + <qb, x> + qc) - h(x) and an attaining point.
-
-        The grid maximum on `box`.  Without `restrict` (and off a file table,
-        see the class docstring) the maximum is refined locally and replaced
-        by +inf when the divergence sentinel fires on expanding boxes.
-        """
-        qb = as_point(qb)
-        row = self._offsets_on_grid(np.array([qa]), np.array([qb]), box)[0]
-        v, p = sup_on_grid(None, box.grid(), values=row)
-        v += qc
-        if restrict or self._on_grid():
-            return v, p
-        h = _TableOffset(self, -1.0, qa, qb, qc)
-        if p is not None and is_finite(v):
-            v, p = refine_extremum(h, box, p, rounds=25, kind="sup")
-        if diverges_on_expanding_boxes(h, box, kind="sup"):
-            return INF, None
-        return v, (p if is_finite(v) else None)
+        """sup of (qa*|x|^2 + <qb, x> + qc) - h(x) and an attaining point:
+        the one-row `sup_quadratic_offset_many` with its point, (-inf, None)
+        on a row of -inf."""
+        v, p = self.sup_quadratic_offset_many(np.array([qa]), np.array([as_point(qb)]), qc, box, points=True)
+        return (NEG_INF, None) if v[0] == NEG_INF else (float(v[0]), tuple(p[0].tolist()))
 
     def sup_quadratic_offset_many(
         self,
@@ -812,10 +836,10 @@ class TabulatedFunction:
     ):
         """Grid maxima of `sup_quadratic_offset` at every row of (qa, qb, qc).
 
-        Rows are grid maxima on `box` whatever `restrict` says: no row is
-        refined or checked by the sentinel.  `qb` has shape (N, dim).  With
-        `points`, returns (values, attaining points (N, dim)): each row's
-        first grid point of greatest cell, NaN where the row is -inf.
+        Rows are grid maxima on `box` whatever `restrict` says.  `qb` has
+        shape (N, dim).  With `points`, returns (values, attaining points
+        (N, dim)): each row's first grid point of greatest cell, NaN where
+        the row is -inf.
         """
         qa = np.asarray(qa, dtype=float)
         qb = np.asarray(qb, dtype=float).reshape(len(qa), self.dim)
@@ -869,7 +893,7 @@ class TabulatedFunction:
         """h(x) - a*|x|^2, a >= 0, on the same box."""
         if a < 0:
             raise ValueError("shift coefficient a must be >= 0")
-        return TabulatedFunction(self.box, _TableOffset(self, 1.0, -a), f"{self.label}~")
+        return TabulatedFunction(self.box, _Shifted(self, a), f"{self.label}~")
 
 
 @dataclass(frozen=True)

@@ -555,8 +555,11 @@ def theorem_bridge_report(
     anything (it is truncated); the only hard contradiction is a certified
     intersection with a failed sum condition while every backward hypothesis
     holds.  val(P) and val(LP) are the instance's shared values, the ones
-    `duality_chain_report` reports.
+    `duality_chain_report` reports.  An empty `alphas` or `alpha_offsets`
+    raises ValueError: a search over no level decides nothing.
     """
+    if (alphas is not None and not len(alphas)) or not len(alpha_offsets):
+        raise ValueError("the alpha list must not be empty")
     v_p = inst.primal[0]
     v_lp = inst.lagrangian_primal[0]
     eq = is_finite(v_lp) and is_finite(v_p) and abs(v_p - v_lp) <= equality_tol

@@ -25,9 +25,9 @@ BOXES = [
 
 
 def _probe_points(box: BoxDomain, rng: np.random.Generator) -> np.ndarray:
-    """The grids of the box and of its sentinel expansions (16x, 256x), random
-    points reaching past the widest one, and every combination of grid points
-    and cell midpoints along the axes."""
+    """The grids of the box and of its 16x and 256x expansions, random points
+    reaching past the widest one, and every combination of grid points and
+    cell midpoints along the axes."""
     pts = [box.scaled(k).grid().points for k in (1.0, 16.0, 256.0)]
     wide = box.scaled(300.0)
     pts.append(rng.uniform(wide.lower, wide.upper, size=(2000, box.dim)))
@@ -154,5 +154,5 @@ def test_unrestricted_conjugate_makes_few_scalar_lookups(monkeypatch):
     )
     value = phi_conjugate(inst.f, Elementary(0.5, (1.0,)), inst.box)
     assert value.value == pytest.approx(1.0 / 6.0, abs=0.01)  # sup of -1.5x^2 + x
-    # the grid, the local refinement and the sentinel's sweeps are all batched
+    # the unrestricted sup is the maximum over the grid values: no per-point lookup
     assert calls == []

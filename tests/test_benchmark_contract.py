@@ -84,8 +84,8 @@ def test_traced_analyses_equal_untraced_bit_for_bit():
     """The tracer hands every search a plain counting callable in place of
     the batched objective, so the traced run takes the per-candidate path;
     both paths must give the same outputs, on a catalog entry and on its
-    401-point tabulated twin (where `phi_conjugate` is unrestricted, with
-    refinement and sentinel).  Each run gets instances of its own: an
+    401-point tabulated twin (where `phi_conjugate` is unrestricted and, as
+    every table sup, a grid maximum).  Each run gets instances of its own: an
     instance keeps the values its analyses share, and the traced run must
     compute them itself."""
     import phidual as pd

@@ -487,3 +487,11 @@ def test_cli_rejects_an_empty_eps_list(capsys, eps_list):
     # an empty --eps-list once fell back to the default list without a word
     assert main(["gap-analyze", "--catalog", "example-6.1", "--eps-list", eps_list]) == 1
     assert "error: the eps list must not be empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha_list", ["", ","])
+def test_cli_rejects_an_empty_alpha_list(capsys, alpha_list):
+    # "" once ran the default levels and "," reported an inconclusive search
+    # that never ran
+    assert main(["gap-analyze", "--catalog", "fenchel-quadratic", "--alpha-list", alpha_list]) == 1
+    assert "error: the alpha list must not be empty" in capsys.readouterr().err

@@ -13,7 +13,13 @@ from phidual import (
     proper_piecewise,
     support_membership,
 )
-from phidual.functions import TabulatedFunction, quad_inf_on_interval, quad_sup_on_interval, values_on_grid
+from phidual.functions import (
+    TabulatedFunction,
+    quad_inf_on_interval,
+    quad_sup_on_interval,
+    quad_sup_on_interval_many,
+    values_on_grid,
+)
 
 from oracles import box1d, dense_sup
 
@@ -174,6 +180,20 @@ def test_quad_sup_unbounded_classification():
     assert quad_sup_on_interval(0.0, 0.0, 3.0, -INF, INF)[0] == 3.0
     assert quad_inf_on_interval(1.0, 0.0, 0.0, -INF, INF) == (0.0, 0.0)
     assert quad_inf_on_interval(0.0, 1.0, 0.0, -INF, 0.0)[0] == -INF
+
+
+def test_quad_sup_with_a_subnormal_coefficient(recwarn):
+    # -B/(2A) and B*B/(4A) leave float range for A = -1e-310; on the line the
+    # sup does too (+inf, no point), on [-1, 1] the vertex is simply outside
+    A, B, C = np.array([-1e-310, -1e-310]), np.array([1.0, 0.0]), np.array([0.5, 0.5])
+    vals, x = quad_sup_on_interval_many(A, B, C, -1.0, 1.0, points=True)
+    assert vals.tolist() == [1.5, 0.5] and x.tolist() == [1.0, -1.0]
+    assert quad_sup_on_interval(-1e-310, 1.0, 0.5, -1.0, 1.0) == (1.5, 1.0)
+    vals, x = quad_sup_on_interval_many(A, B, C, -INF, INF, points=True)
+    assert vals.tolist() == [INF, 0.5] and np.isnan(x[0]) and x[1] == 0.0
+    assert quad_sup_on_interval_many(A, B, C, -INF, INF).tolist() == [INF, 0.5]
+    assert quad_sup_on_interval(-1e-310, 1.0, 0.5, -INF, INF) == (INF, None)
+    assert len(recwarn) == 0, [str(w.message) for w in recwarn]
 
 
 def test_tabulated_rejects_empty_domain():

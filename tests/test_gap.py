@@ -255,6 +255,13 @@ def test_bridge_on_gap_instance():
     assert br.val_P > v_ld + 0.5  # the positive gap is visible
 
 
+@pytest.mark.parametrize("kwargs", [{"alphas": []}, {"alphas": ()}, {"alpha_offsets": []}])
+def test_bridge_refuses_an_empty_alpha_list(kwargs):
+    # no level to search decides nothing, so it is no inconclusive search
+    with pytest.raises(ValueError, match="alpha list must not be empty"):
+        theorem_bridge_report(FEN, **kwargs)
+
+
 def test_bridge_handles_infeasible_dual_class():
     # -x^2 has no affine minorant: val(LP) = -inf, so no level is admissible
     # and the intersection condition is reported as not evaluable

@@ -2,11 +2,10 @@
 
 `sup_quadratic_offset` restricted to the box must give, bit for bit, what
 row i of `sup_quadratic_offset_many` gives for the same coefficients, and
-`shifted(a)` must subtract a*|x|^2 from the values.  Unrestricted rows of
-`sup_quadratic_offset_many` differ by design: exact sups over the whole line
-for piecewise quadratics, grid maxima on the box for tables.  A table read
-from an instance document is +inf outside its box, so its single unrestricted
-sup is that grid maximum too.
+`shifted(a)` must subtract a*|x|^2 from the values.  Unrestricted sups
+differ by design: exact sups over the whole line for piecewise quadratics,
+grid maxima on the box for tables, which are +inf outside their box; the
+single sup is the batch row either way, with its attaining point.
 """
 
 import math
@@ -14,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from phidual import BoxDomain, ProperFunction, TabulatedFunction, pieces
+from phidual import BoxDomain, PhiClass, ProblemInstance, ProperFunction, TabulatedFunction, pieces
+from phidual.duality import _dual_table, dual_value_at
 from phidual.functions import CLOSED_FORM, GRID_ORACLE, quadratic_rows
 from phidual.serialize import parse_instance
 
@@ -120,15 +120,16 @@ def test_unrestricted_sup_is_at_least_the_box_sup():
 def test_unrestricted_many_rows(name):
     f, box, method = CASES[name]
     qa, qb, qc = _rows(f.dim, 10)
-    whole = f.sup_quadratic_offset_many(qa, qb, qc, box, restrict=False)
+    whole, at = f.sup_quadratic_offset_many(qa, qb, qc, box, restrict=False, points=True)
     if method == GRID_ORACLE:
-        # no refinement and no divergence sentinel: the box rows, bit for bit
+        # a table is known on its grid only: the box rows, bit for bit
         inside = f.sup_quadratic_offset_many(qa, qb, qc, box)
         assert whole.tobytes() == inside.tobytes()
-    if method == CLOSED_FORM or name == "file-table-1d":
-        for i in range(len(qa)):
-            v, _ = f.sup_quadratic_offset(float(qa[i]), tuple(qb[i]), float(qc[i]), box, restrict=False)
-            assert np.float64(v).tobytes() == whole[i].tobytes(), (i, v, whole[i])
+    for i in range(len(qa)):
+        v, p = f.sup_quadratic_offset(float(qa[i]), tuple(qb[i]), float(qc[i]), box, restrict=False)
+        assert np.float64(v).tobytes() == whole[i].tobytes(), (name, i, v, whole[i])
+        want = np.full(f.dim, np.nan) if p is None else np.array(p)
+        assert want.tobytes() == at[i].tobytes(), (name, i, p, at[i])
 
 
 def _cell(f, qa: float, qb, qc: float, x, box, restrict: bool) -> float:
@@ -170,3 +171,37 @@ def test_many_attaining_points_reproduce_their_rows(name, restrict):
             continue
         cell = _cell(f, qa[i], qb[i], qc[i], points[i], box, restrict)
         assert np.float64(cell).tobytes() == values[i].tobytes(), (name, i, cell, values[i])
+
+
+def test_a_table_never_calls_its_evaluator_outside_the_box():
+    def inside_only(p):
+        if not BOX_1D.contains(p):
+            raise AssertionError(f"called outside the box at {p}")
+        return _cup_1d(p)
+
+    tab = TabulatedFunction(BOX_1D, inside_only, "strict")
+    ref = CASES["tabulated-1d"][0].rep
+    pts = np.array([[-3.5], [-3.0], [0.25], [3.0], [3.0 + 1e-12], [50.0], [np.nan]])
+    want = [ref(p) if BOX_1D.contains(tuple(p)) else math.inf for p in pts]
+    assert [tab(tuple(p)) for p in pts] == want
+    assert tab.values(pts).tolist() == want
+    shifted = tab.shifted(0.5)
+    assert shifted((4.0,)) == math.inf and shifted.values(pts)[[0, 5]].tolist() == [math.inf] * 2
+    assert tab.sup_quadratic_offset(1.0, (2.0,), 0.0, BOX_1D, restrict=False) == ref.sup_quadratic_offset(
+        1.0, (2.0,), 0.0, BOX_1D
+    )
+
+
+@pytest.mark.parametrize("kind", ["lsc-quadratic", "affine"])
+def test_dual_value_at_reads_the_dual_table(kind):
+    # a table built from a callable: the scalar conjugates of `dual_value_at`
+    # and the swept `_dual_table` are the same grid maxima
+    box = box1d(-1.0, 1.0, 41)
+    f = ProperFunction.from_tabulated(TabulatedFunction(box, lambda p: (p[0] - 0.033) ** 2, "f"))
+    g = ProperFunction.from_tabulated(TabulatedFunction(box, lambda p: abs(p[0]) - 0.5 * p[0], "g"))
+    cls = PhiClass(kind, a_max=2.0, v_max=3.0, grid_sizes=(5, 9) if kind == "lsc-quadratic" else (9,))
+    inst = ProblemInstance(f, g, box, cls)
+    params, table = _dual_table(inst)
+    for row, want in zip(params, table):
+        got = dual_value_at(inst, cls.member(tuple(row)))
+        assert np.float64(got).tobytes() == want.tobytes(), (row, got, want)

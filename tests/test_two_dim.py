@@ -1,7 +1,5 @@
 """2D path: boxes, tabulated functions, conjugates and a small dual chain."""
 
-import math
-
 import pytest
 
 from phidual import (
@@ -44,10 +42,12 @@ def test_2d_conjugate_of_paraboloid():
     assert abs(cv.attaining_point[1] + 1.0) < 1e-6
 
 
-def test_2d_conjugate_divergence_detected():
+def test_2d_conjugate_of_concave_function_is_its_grid_max():
+    # 0.5*|x|^2 is unbounded on the plane, but the table is known on BOX2's
+    # grid only: the sup is 0.5*(3^2 + 3^2) at the first corner
     conc = _tab(lambda p: -(p[0] ** 2) - p[1] ** 2, "conc")
     cv = phi_conjugate(conc, Elementary(0.5, (0.0, 0.0), 0.0), BOX2)
-    assert cv.value == math.inf and cv.attaining_point is None
+    assert cv.value == 9.0 and cv.attaining_point == (-3.0, -3.0)
 
 
 def test_2d_biconjugate_of_convex_function():
