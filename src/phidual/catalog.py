@@ -303,11 +303,17 @@ def with_overrides(
     a_max: Optional[float] = None,
     v_max: Optional[float] = None,
 ) -> ProblemInstance:
-    phi = entry.default_phi
-    if a_max is not None or v_max is not None:
-        phi = replace(
-            phi,
-            a_max=a_max if a_max is not None else phi.a_max,
-            v_max=v_max if v_max is not None else phi.v_max,
-        )
-    return entry.build(box=box, phi=phi)
+    return entry.build(box=box, phi=with_bounds(entry.default_phi, a_max, v_max))
+
+
+def with_bounds(
+    phi: PhiClass, a_max: Optional[float] = None, v_max: Optional[float] = None
+) -> PhiClass:
+    """`phi` with its truncation bounds replaced where given."""
+    if a_max is None and v_max is None:
+        return phi
+    return replace(
+        phi,
+        a_max=a_max if a_max is not None else phi.a_max,
+        v_max=v_max if v_max is not None else phi.v_max,
+    )

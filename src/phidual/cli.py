@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import catalog as _catalog
@@ -139,17 +139,11 @@ def _load(args, cfg: RunConfig) -> tuple[ProblemInstance, Optional[_catalog.Cata
     if args.instance:
         inst = load_instance(args.instance)
         if any(o is not None for o in (cfg.box, cfg.samples, cfg.a_max, cfg.v_max)):
-            phi = inst.phi
-            if cfg.a_max is not None or cfg.v_max is not None:
-                phi = replace(
-                    phi,
-                    a_max=cfg.a_max if cfg.a_max is not None else phi.a_max,
-                    v_max=cfg.v_max if cfg.v_max is not None else phi.v_max,
-                )
             try:
                 box = cfg.resolve_box(inst.box)
             except ValueError as exc:
                 raise CliError(str(exc)) from exc
+            phi = _catalog.with_bounds(inst.phi, cfg.a_max, cfg.v_max)
             inst = ProblemInstance(inst.f, inst.g, box, phi)
         return inst, None
     raise CliError("one of --catalog or --instance is required")

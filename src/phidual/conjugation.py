@@ -22,14 +22,15 @@ and a run of rows left with one column takes it in one call.  Extra family
 members, refinement batches, single points and 2D take the dense (rows x
 points) maximum.
 
-The dual programs over the class (val(CD), val(CD^sym), f** at a point,
-the dual-subgradient test) sweep the parameter grid and improve its winner
-(`_sweep_and_refine`).  Each is concave in the parameters (`ConjugateSum`);
-with one parameter, the affine class in 1D, it is solved to its maximum by
-supergradient cuts and bisection (`_maximize_concave`), the supergradients
-coming from the points that attain the conjugates.  With more parameters,
-and for the sum condition's search, 20 halving rounds of `refine_in_params`
-refine the winner.
+Each dual program over a class (val(CD), val(CD^sym), f** at a point, the
+dual-subgradient test) is one `ConjugateSum`.  Its `sweep()` reads the
+cached conjugate tables at the class's parameter grid, and its `solve()`
+improves the grid winner (`_sweep_and_refine`).  Each program is concave in
+the parameters; with one parameter, the affine class in 1D, it is solved to
+its maximum by supergradient cuts and bisection (`_maximize_concave`), the
+supergradients coming from the points that attain the conjugates.  With
+more parameters, and for the sum condition's search, 20 halving rounds of
+`refine_in_params` refine the winner.
 """
 
 from __future__ import annotations
@@ -111,16 +112,6 @@ def left_conjugate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugateTable:
-    """Conjugate values over a parameter matrix (c = 0 canonical form)."""
-
-    params: np.ndarray  # (N, n_params)
-    values: np.ndarray  # (N,), +inf allowed
-    side: str  # "right" | "left"
-    method: str
-
-
 def conjugates_at_params(
     f: ProperFunction,
     phi_class: PhiClass,
@@ -139,16 +130,17 @@ def conjugates_at_params(
 @lru_cache(maxsize=64)
 def conjugate_table(
     f: ProperFunction, phi_class: PhiClass, box: BoxDomain, side: str = "right"
-) -> ConjugateTable:
-    """`conjugates_at_params` over the whole parameter grid, computed as the
-    (a axis x v rows) lattice it is: one monotone-argmax sweep per a for a
-    1D table, the same values as the dense rows."""
+) -> np.ndarray:
+    """`conjugates_at_params` at `phi_class.param_grid()`, as a read-only
+    array shared by every caller, computed as the (a axis x v rows) lattice
+    it is: one monotone-argmax sweep per a for a 1D table, the same values
+    as the dense rows."""
     a, v = phi_class.lattice()
     sign = 1.0 if side == "right" else -1.0
     values = f.sup_quadratic_offset_lattice(-sign * a, sign * v, 0.0, box, restrict=False)
     values = values.ravel()
     values.setflags(write=False)
-    return ConjugateTable(phi_class.param_grid(), values, side, f.method)
+    return values
 
 
 def refine_in_params(
@@ -184,15 +176,19 @@ def refine_in_params(
 
 
 class ConjugateSum:
-    """The dual objective  p -> phi_p(x) - base - sum_k C_k(s_k*p)  over
-    parameter rows p, where C_k is the `side_k` conjugate of f_k
-    (`conjugates_at_params`) and phi_p the member of the class; -inf
-    wherever some C_k is +inf.  Without `x` the sum starts at -C_1.
+    """One dual program over a class: the objective
+    p -> phi_p(x) - base - sum_k C_k(p)  over parameter rows p, where C_k is
+    the `side_k` conjugate of f_k (`conjugates_at_params`) and phi_p the
+    member of the class; -inf wherever some C_k is +inf.  Without `x` the
+    sum starts at -C_1.
 
-    Called on an (N, n_params) array it returns the N values.  It is
-    concave in p; with one parameter (the affine class in 1D), `slopes(rows)`
-    returns the values and a supergradient per row,
-    x - sum_k s_k*t_k*y_k, where y_k attains C_k and t_k is +1 for a right
+    Called on an (N, n_params) array it returns the N values; `sweep()`
+    gives the same values at `phi_class.param_grid()`, read from the cached
+    `conjugate_table`s, and `solve()` returns (value, parameters) of the
+    maximum found from the sweep's winner (`_sweep_and_refine`).  It is
+    concave in p; with one parameter (the affine class in 1D),
+    `slopes(rows)` returns the values and a supergradient per row,
+    x - sum_k t_k*y_k, where y_k attains C_k and t_k is +1 for a right
     conjugate and -1 for a left one (Danskin).
     """
 
@@ -200,25 +196,36 @@ class ConjugateSum:
                  base: float = 0.0):
         self.phi_class, self.box, self.parts, self.x, self.base = phi_class, box, parts, x, base
 
-    def _evaluate(self, rows: np.ndarray, points: bool):
-        d, slope, infinite = None, 0.0 if self.x is None else self.x[0], False
+    def _combine(self, rows: np.ndarray, conjugates) -> np.ndarray:
+        """The objective at `rows` from the conjugate values of its parts there."""
+        d, infinite = None, False
         if self.x is not None:
             d = self.phi_class.member_values(rows, self.x) - self.base
-        for f, side, s in self.parts:
-            c = conjugates_at_params(f, self.phi_class, self.box, s * rows, side, points)
-            if points:
-                c, y = c
-                slope = slope - (s if side == "right" else -s) * y[:, 0]
+        for c in conjugates:
             infinite = infinite | (c == INF)
             d = -c if d is None else d - c
-        d = np.where(infinite, NEG_INF, d)
-        return (d, slope) if points else d
+        return np.where(infinite, NEG_INF, d)
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
-        return self._evaluate(rows, False)
+        return self._combine(rows, [
+            conjugates_at_params(f, self.phi_class, self.box, rows, side) for f, side in self.parts
+        ])
 
     def slopes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._evaluate(rows, True)
+        slope, conjugates = 0.0 if self.x is None else self.x[0], []
+        for f, side in self.parts:
+            c, y = conjugates_at_params(f, self.phi_class, self.box, rows, side, points=True)
+            slope = slope - (1.0 if side == "right" else -1.0) * y[:, 0]
+            conjugates.append(c)
+        return self._combine(rows, conjugates), slope
+
+    def sweep(self) -> np.ndarray:
+        return self._combine(self.phi_class.param_grid(), [
+            conjugate_table(f, self.phi_class, self.box, side) for f, side in self.parts
+        ])
+
+    def solve(self) -> tuple[float, Optional[tuple[float, ...]]]:
+        return _sweep_and_refine(self, self.phi_class, self.phi_class.param_grid(), self.sweep())
 
 
 #: oracle calls of `_maximize_concave` at most; with the midpoint in every
@@ -323,8 +330,7 @@ def searched_family(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, v, f*) of the searched elementaries: the conjugate table rows
     followed by `extra_phis` (c = 0)."""
-    table = conjugate_table(f, phi_class, box, "right")
-    params, values = table.params, table.values
+    params, values = phi_class.param_grid(), conjugate_table(f, phi_class, box, "right")
     extras = _extra_params(phi_class, extra_phis)
     if len(extras):
         params = np.vstack([params, extras])
@@ -333,18 +339,15 @@ def searched_family(
     return a, v, values
 
 
-def _minorant_scores(family, points: np.ndarray) -> np.ndarray:
-    """phi(x) - f*(phi), one row per family member, one column per point."""
-    a, v, fstar = family
-    return quadratic_rows(-a, v, points) - fstar[:, None]
-
-
 def biconjugate_at_points(family, points: np.ndarray) -> np.ndarray:
-    """f** restricted to a `searched_family`, at every row of an (N, dim) array."""
+    """f** restricted to a `searched_family`, at every row of an (N, dim)
+    array: the maximum over the members of phi(x) - f*(phi)."""
+    a, v, fstar = family
     out = np.full(points.shape[0], NEG_INF)
-    for i in range(0, len(family[2]), ROW_CHUNK):
-        rows = tuple(part[i : i + ROW_CHUNK] for part in family)
-        out = np.maximum(out, np.max(_minorant_scores(rows, points), axis=0))
+    for i in range(0, len(fstar), ROW_CHUNK):
+        sl = slice(i, i + ROW_CHUNK)
+        scores = quadratic_rows(-a[sl], v[sl], points) - fstar[sl, None]
+        out = np.maximum(out, np.max(scores, axis=0))
     return out
 
 
@@ -356,18 +359,14 @@ def biconjugate(
 ) -> float:
     """f**(x) = sup over the truncated class of phi(x) - f*(phi).
 
-    Parameters with infinite conjugate are skipped; the grid winner is
-    improved in parameter space (`_sweep_and_refine`): on the affine class
-    in 1D the concave program in v is solved to its maximum, on the other
-    classes refined by halving.  Returns -inf when no searched parameter has
-    a finite conjugate (no elementary minorant found in the truncated
-    family).
+    One `ConjugateSum` solved: parameters with infinite conjugate are
+    skipped, and the grid winner is improved in parameter space: on the
+    affine class in 1D the concave program in v is solved to its maximum,
+    on the other classes refined by halving.  Returns -inf when no searched
+    parameter has a finite conjugate (no elementary minorant found in the
+    truncated family).
     """
-    x = as_point(x)
-    scores = _minorant_scores(searched_family(f, phi_class, box), np.asarray([x]))[:, 0]
-    objective = ConjugateSum(phi_class, box, ((f, "right", 1.0),), x)
-    params = conjugate_table(f, phi_class, box, "right").params
-    return _sweep_and_refine(objective, phi_class, params, scores)[0]
+    return ConjugateSum(phi_class, box, ((f, "right"),), as_point(x)).solve()[0]
 
 
 def biconjugate_on_grid(
@@ -392,7 +391,7 @@ def biconjugate_on_grid(
     if phi_class.dim != 1:
         return biconjugate_at_points(searched_family(f, phi_class, box, extra_phis), points)
     a, v = phi_class.lattice()
-    fstar = conjugate_table(f, phi_class, box, "right").values.reshape(len(a), len(v))
+    fstar = conjugate_table(f, phi_class, box, "right").reshape(len(a), len(v))
     qa, vb, x, sq = -a, v[:, 0], points[:, 0], _squares(points)
     out = _monotone_row_max(
         lambda s, i, j: (qa[s] * sq[i] + vb[j] * x[i]) - fstar[s, j], len(a), len(x), len(vb)

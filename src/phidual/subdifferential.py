@@ -19,16 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import INF, BoxDomain, Point, as_point, is_finite
-from .conjugation import (
-    ConjugateSum,
-    _sweep_and_refine,
-    biconjugate,
-    conjugate_table,
-    phi_conjugate,
-)
+from .conjugation import ConjugateSum, biconjugate, phi_conjugate
 from .functions import Elementary, PhiClass, ProperFunction
 
 
@@ -130,7 +122,7 @@ def is_dual_subgradient(
         f*(phi) - f*(phi_bar) >= phi(x_bar) - phi_bar(x_bar)  for all phi,
 
     searched over the truncated class grid, the worst grid violation then
-    improved in parameter space (`_sweep_and_refine`): the violation is
+    improved in parameter space (`ConjugateSum.solve`): the violation is
     concave in phi, and on the affine class in 1D it is maximized exactly
     over v, on the other classes refined by halving.  A holding certificate
     means no violation was found in the searched family.
@@ -140,12 +132,7 @@ def is_dual_subgradient(
     if not is_finite(fstar_bar):
         raise ValueError("f*(phi_bar) must be finite for the dual-side test")
     base = phi_bar(x_bar) - fstar_bar
-    table = conjugate_table(f, phi_class, box, "right")
-    a, v = phi_class.split_params(table.params)
-    sq = sum(c * c for c in x_bar)
-    viol = -a * sq + v @ np.asarray(x_bar) - base - table.values
-    objective = ConjugateSum(phi_class, box, ((f, "right", 1.0),), x_bar, base)
-    worst, worst_p = _sweep_and_refine(objective, phi_class, table.params, viol)
+    worst, worst_p = ConjugateSum(phi_class, box, ((f, "right"),), x_bar, base).solve()
     holds = worst <= tol
     return SubgradientCertificate(
         holds=holds,

@@ -209,11 +209,11 @@ def test_icd_requires_additive_class_with_zero():
 
 def test_weak_duality_sweep():
     # p(x, 0) >= -p*(0, phi) for every grid point and every searched phi
-    from phidual.duality import _dual_table, objective_values
+    from phidual.duality import _dual_program, objective_values
 
     for inst in (PAIR, KKT, get_entry("gap-instance").build()):
         primal_vals = objective_values(inst.f, inst.g, inst.box)
-        _, duals = _dual_table(inst)
+        duals = _dual_program(inst, inst.phi).sweep()
         assert float(np.min(primal_vals)) >= float(np.max(duals)) - 1e-9
 
 
@@ -341,18 +341,18 @@ def test_symmetric_class_duals_are_one_program(inst):
 
 @pytest.mark.parametrize("name, sweeps", [("gap-instance", 1), ("example-6.1", 2)])
 def test_chain_report_sweeps_each_dual_program_once(monkeypatch, name, sweeps):
-    # a symmetric class runs one dual sweep for val(CD) and val(CD^sym);
-    # the lsc-quadratic class keeps the two programs
-    import phidual.duality as duality
+    # a symmetric class solves one dual program for val(CD) and val(CD^sym);
+    # the lsc-quadratic class solves it over the class and its affine subclass
+    from phidual.conjugation import ConjugateSum
 
     calls = []
-    original = duality._sweep_and_refine
+    original = ConjugateSum.solve
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(self):
+        calls.append(self)
+        return original(self)
 
-    monkeypatch.setattr(duality, "_sweep_and_refine", counted)
+    monkeypatch.setattr(ConjugateSum, "solve", counted)
     inst = get_entry(name).build()
     report = duality_chain_report(inst)
     assert len(calls) == sweeps

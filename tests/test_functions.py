@@ -196,6 +196,17 @@ def test_quad_sup_with_a_subnormal_coefficient(recwarn):
     assert len(recwarn) == 0, [str(w.message) for w in recwarn]
 
 
+def test_quad_sup_takes_numpy_scalars_as_floats(recwarn):
+    # numpy scalars divide with an overflow warning where Python floats give
+    # inf silently; the scalar clamp computes in Python floats either way
+    args = (np.float64(-1e-310), np.float64(1.0), np.float64(0.5), -1.0, 1.0)
+    got = quad_sup_on_interval(*args)
+    assert got == quad_sup_on_interval(*(float(a) for a in args)) == (1.5, 1.0)
+    assert all(type(c) is float for c in got)
+    assert quad_sup_on_interval(*args[:3], -INF, INF) == (INF, None)
+    assert len(recwarn) == 0, [str(w.message) for w in recwarn]
+
+
 def test_tabulated_rejects_empty_domain():
     from phidual import TabulatedFunction
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from phidual import BoxDomain, PhiClass, ProblemInstance, ProperFunction, TabulatedFunction, pieces
-from phidual.duality import _dual_table, dual_value_at
+from phidual.duality import _dual_program, dual_value_at
 from phidual.functions import CLOSED_FORM, GRID_ORACLE, quadratic_rows
 from phidual.serialize import parse_instance
 
@@ -195,13 +195,13 @@ def test_a_table_never_calls_its_evaluator_outside_the_box():
 @pytest.mark.parametrize("kind", ["lsc-quadratic", "affine"])
 def test_dual_value_at_reads_the_dual_table(kind):
     # a table built from a callable: the scalar conjugates of `dual_value_at`
-    # and the swept `_dual_table` are the same grid maxima
+    # and the val(CD) program's sweep are the same grid maxima
     box = box1d(-1.0, 1.0, 41)
     f = ProperFunction.from_tabulated(TabulatedFunction(box, lambda p: (p[0] - 0.033) ** 2, "f"))
     g = ProperFunction.from_tabulated(TabulatedFunction(box, lambda p: abs(p[0]) - 0.5 * p[0], "g"))
     cls = PhiClass(kind, a_max=2.0, v_max=3.0, grid_sizes=(5, 9) if kind == "lsc-quadratic" else (9,))
     inst = ProblemInstance(f, g, box, cls)
-    params, table = _dual_table(inst)
+    params, table = cls.param_grid(), _dual_program(inst, cls).sweep()
     for row, want in zip(params, table):
         got = dual_value_at(inst, cls.member(tuple(row)))
         assert np.float64(got).tobytes() == want.tobytes(), (row, got, want)

@@ -85,7 +85,7 @@ def _bits(x: np.ndarray) -> bytes:
 @given(tables(), classes(), st.sampled_from(["right", "left"]))
 def test_table_conjugates_equal_dense_bit_for_bit(table, cls, side):
     f, box = table
-    got = conjugate_table(f, cls, box, side).values
+    got = conjugate_table(f, cls, box, side)
     assert _bits(got) == _bits(dense_conjugate_table(f, cls, box, side))
 
 
@@ -114,7 +114,7 @@ def test_piecewise_biconjugates_equal_dense(seed, cls, n, k):
     got = biconjugate_on_grid(f, cls, box, extras)
     assert np.array_equal(got, dense_biconjugate_on_grid(f, cls, box, extras))
     for side in ("right", "left"):
-        table = conjugate_table(f, cls, box, side).values
+        table = conjugate_table(f, cls, box, side)
         assert _bits(table) == _bits(dense_conjugate_table(f, cls, box, side))
 
 
@@ -128,7 +128,7 @@ def test_two_dim_sweeps_stay_dense():
         PhiClass("lsc-quadratic", dim=2, a_max=1.0, v_max=3.0, grid_sizes=(3, 5, 5)),
     ):
         for side in ("right", "left"):
-            got = conjugate_table(f, cls, box, side).values
+            got = conjugate_table(f, cls, box, side)
             assert _bits(got) == _bits(dense_conjugate_table(f, cls, box, side))
         got = biconjugate_on_grid(f, cls, box, extras_of(cls))
         assert _bits(got) == _bits(dense_biconjugate_on_grid(f, cls, box, extras_of(cls)))

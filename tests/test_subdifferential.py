@@ -211,8 +211,8 @@ def test_eps_subdifferential_nonempty_on_domain_of_class_convex_f():
 
     def best_minorant(x_bar):
         table = conjugate_table(f, cls, box, "right")
-        a, v = table.params[:, 0], table.params[:, 1]
-        scores = -a * x_bar * x_bar + v * x_bar - table.values
+        a, v = cls.param_grid()[:, 0], cls.param_grid()[:, 1]
+        scores = -a * x_bar * x_bar + v * x_bar - table
         best = int(np.argmax(scores))
         return Elementary(a[best], (v[best],), 0.0), f(x_bar) - float(scores[best])
 
@@ -233,8 +233,8 @@ def test_truncation_gap_at_concave_kink():
     box = box1d()
     cls = lsc_class()
     table = conjugate_table(F_DOUBLE, cls, box, "right")
-    a, v = table.params[:, 0], table.params[:, 1]
-    scores = v * 0.0 - table.values  # evaluated at x_bar = 0
+    v = cls.param_grid()[:, 1]
+    scores = v * 0.0 - table  # evaluated at x_bar = 0
     gap = F_DOUBLE(0.0) - float(np.max(scores))
     assert abs(gap - 4.0 / (cls.a_max + 2.0)) <= 1e-9
     # the eps-subdifferential within the truncated family is nonempty only
