@@ -258,25 +258,26 @@ def cmd_conjugate(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="phidual", description=__doc__.splitlines()[0])
+    # no abbreviations: `--v 1` would otherwise be read as `--v-max 1`
+    parser = _Parser(prog="phidual", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dual-report", help="evaluate the dual value chain")
+    p = sub.add_parser("dual-report", allow_abbrev=False, help="evaluate the dual value chain")
     _add_common(p)
     p.set_defaults(func=cmd_dual_report)
 
-    p = sub.add_parser("kkt-verify", help="certify a primal-dual pair")
+    p = sub.add_parser("kkt-verify", allow_abbrev=False, help="certify a primal-dual pair")
     _add_common(p)
     p.add_argument("--x", help="candidate minimizer coordinates")
     p.add_argument("--a", type=float, help="quadratic coefficient of phi*")
     p.add_argument("--w", help="linear coefficients of phi*")
     p.set_defaults(func=cmd_kkt_verify)
 
-    p = sub.add_parser("gap-analyze", help="run the zero-duality-gap analyses")
+    p = sub.add_parser("gap-analyze", allow_abbrev=False, help="run the zero-duality-gap analyses")
     _add_common(p)
     p.set_defaults(func=cmd_gap_analyze)
 
-    p = sub.add_parser("conjugate", help="print one conjugate value")
+    p = sub.add_parser("conjugate", allow_abbrev=False, help="print one conjugate value")
     _add_common(p)
     p.add_argument("--which", choices=("f", "g"), required=True)
     p.add_argument("--a", type=float, help="quadratic coefficient of phi")

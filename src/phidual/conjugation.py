@@ -31,10 +31,20 @@ its maximum by supergradient cuts and bisection (`_maximize_concave`), the
 supergradients coming from the points that attain the conjugates.  With
 more parameters, and for the sum condition's search, 20 halving rounds of
 `refine_in_params` refine the winner.
+
+A local search evaluates only inside its reach (one grid step around the
+winner for `_maximize_concave`, `core.halving_reach` for halving), so it
+runs on the members that may win there (`core._may_attain`): a program's
+tabulated parts keep the grid points that may attain their conjugates
+inside the reach (`ConjugateSum.within`), and val(LP)'s refinement keeps
+the members of the g** family that may attain it near the grid minimizer
+(`family_within`).  Values and attaining points are those of the whole
+family, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -49,8 +59,10 @@ from .core import (
     BoxDomain,
     Point,
     _halving_search,
+    _may_attain,
     as_point,
     ext_add,
+    halving_reach,
     is_finite,
 )
 from .functions import (
@@ -112,6 +124,11 @@ def left_conjugate(
 # ---------------------------------------------------------------------------
 
 
+def _sign(side: str) -> float:
+    """+1 for a right conjugate sup(phi - f), -1 for a left one sup(-f - phi)."""
+    return 1.0 if side == "right" else -1.0
+
+
 def conjugates_at_params(
     f: ProperFunction,
     phi_class: PhiClass,
@@ -123,7 +140,7 @@ def conjugates_at_params(
     """Conjugate values of f at every parameter row (c = 0); with `points`,
     (values, attaining points) as `sup_quadratic_offset_many` gives them."""
     a, v = phi_class.split_params(params)
-    sign = 1.0 if side == "right" else -1.0
+    sign = _sign(side)
     return f.sup_quadratic_offset_many(-sign * a, sign * v, 0.0, box, restrict=False, points=points)
 
 
@@ -136,7 +153,7 @@ def conjugate_table(
     it is: one monotone-argmax sweep per a for a 1D table, the same values
     as the dense rows."""
     a, v = phi_class.lattice()
-    sign = 1.0 if side == "right" else -1.0
+    sign = _sign(side)
     values = f.sup_quadratic_offset_lattice(-sign * a, sign * v, 0.0, box, restrict=False)
     values = values.ravel()
     values.setflags(write=False)
@@ -164,12 +181,11 @@ def refine_in_params(
     with two or more parameters and for the sum condition's search; the
     one-parameter conjugate programs are solved by `_maximize_concave`.
     """
-    axes = phi_class.param_axes()
-    if not axes:
+    radii = phi_class.param_steps()
+    if not radii:
         p = ()
         return objective(p), p
-    radii = [float(ax[1] - ax[0]) for ax in axes]
-    offsets = (-1.0, -0.5, 0.0, 0.5, 1.0) if len(axes) <= 2 else (-1.0, 0.0, 1.0)
+    offsets = (-1.0, -0.5, 0.0, 0.5, 1.0) if len(radii) <= 2 else (-1.0, 0.0, 1.0)
     lower, upper = phi_class.param_bounds()
     seed = phi_class.clip_params(seed_params)
     return _halving_search(objective, seed, radii, offsets, lower, upper, rounds)
@@ -189,7 +205,9 @@ class ConjugateSum:
     concave in p; with one parameter (the affine class in 1D),
     `slopes(rows)` returns the values and a supergradient per row,
     x - sum_k t_k*y_k, where y_k attains C_k and t_k is +1 for a right
-    conjugate and -1 for a left one (Danskin).
+    conjugate and -1 for a left one (Danskin).  `within(lower, upper)` is
+    the same program for rows inside a parameter box, from fewer grid
+    points of its tables; `solve()` searches it over the search's reach.
     """
 
     def __init__(self, phi_class: PhiClass, box: BoxDomain, parts, x: Optional[Point] = None,
@@ -215,7 +233,7 @@ class ConjugateSum:
         slope, conjugates = 0.0 if self.x is None else self.x[0], []
         for f, side in self.parts:
             c, y = conjugates_at_params(f, self.phi_class, self.box, rows, side, points=True)
-            slope = slope - (1.0 if side == "right" else -1.0) * y[:, 0]
+            slope = slope - _sign(side) * y[:, 0]
             conjugates.append(c)
         return self._combine(rows, conjugates), slope
 
@@ -226,6 +244,21 @@ class ConjugateSum:
 
     def solve(self) -> tuple[float, Optional[tuple[float, ...]]]:
         return _sweep_and_refine(self, self.phi_class, self.phi_class.param_grid(), self.sweep())
+
+    def within(self, lower, upper) -> "ConjugateSum":
+        """The program as far as its values, supergradients and attaining
+        points inside the parameter box [lower, upper] go: each tabulated
+        part keeps only the grid points that may attain its conjugate at
+        some parameter row of the box (`ProperFunction.within`, from the
+        box's corners, since each cell is affine in the parameters), so
+        inside the box every call gives the whole program's numbers bit for
+        bit.  Piecewise parts stay as they are."""
+        corners = np.array(list(itertools.product(*zip(lower, upper))), dtype=float)
+        a, v = self.phi_class.split_params(corners)
+        parts = tuple(
+            (f.within(-_sign(side) * a, _sign(side) * v, self.box), side) for f, side in self.parts
+        )
+        return ConjugateSum(self.phi_class, self.box, parts, self.x, self.base)
 
 
 #: oracle calls of `_maximize_concave` at most; with the midpoint in every
@@ -241,6 +274,9 @@ def _maximize_concave(oracle, v0: float, step: float, lower: float, upper: float
     d is -inf off its domain, an interval holding v0.  Since d(v0) is at
     least d at both grid neighbours, concavity puts the maximum in
     [v0 - step, v0 + step]; the first call evaluates v0 and those two ends.
+    Reach: every evaluated point lies in [v0 - step, v0 + step] clipped to
+    [lower, upper] (every later point lies strictly inside a bracket of
+    evaluated points), so the oracle may serve only that interval.
     The evaluated points keep a bracket: the last feasible point with a
     positive supergradient and the next point, which is feasible with a
     negative one or -inf; a point with supergradient 0 is a maximum, and a
@@ -293,7 +329,9 @@ def _sweep_and_refine(
 
     A `ConjugateSum` with one parameter is maximized exactly by
     `_maximize_concave` from the grid winner, with its supergradients; any
-    other objective is refined for 20 rounds by `refine_in_params`.
+    other objective is refined for 20 rounds by `refine_in_params`.  A
+    `ConjugateSum` is searched as restricted to the search's reach
+    (`ConjugateSum.within`), the same numbers from fewer grid points.
     """
     i = int(np.argmax(sweep))
     best = float(sweep[i]), tuple(params[i])
@@ -301,12 +339,15 @@ def _sweep_and_refine(
         return NEG_INF, None
     if params.shape[1] == 0:
         return best
+    steps, (lower, upper) = phi_class.param_steps(), phi_class.param_bounds()
     if params.shape[1] == 1 and isinstance(values, ConjugateSum):
-        (axis,), ((lower,), (upper,)) = phi_class.param_axes(), phi_class.param_bounds()
-        oracle = lambda vs: values.slopes(vs[:, None])
-        val, v = _maximize_concave(oracle, best[1][0], float(axis[1] - axis[0]), lower, upper)
+        (v0,), (step,), (lo,), (hi,) = best[1], steps, lower, upper
+        near = values.within((max(v0 - step, lo),), (min(v0 + step, hi),))
+        val, v = _maximize_concave(lambda vs: near.slopes(vs[:, None]), v0, step, lo, hi)
         p = (v,)
     else:
+        if isinstance(values, ConjugateSum):
+            values = values.within(*halving_reach(best[1], steps, lower, upper))
         val, p = refine_in_params(BatchObjective(values), phi_class, best[1])
     return (val, p) if val > best[0] else best
 
@@ -339,16 +380,42 @@ def searched_family(
     return a, v, values
 
 
+def family_within(family, lower, upper):
+    """The members of a `searched_family` that may attain its maximum at
+    some point of the box [lower, upper] (`core._may_attain`), in order.
+
+    A member -a|x|^2 + <v, x> - f* is concave and a sum over the axes, so
+    over the box its least value is the sum of the lesser end values per
+    axis and its greatest at most the sum of the greater end values plus
+    a*w^2/4, w the axis' width.  Members with f* = +inf are -inf and fall
+    out unless every member is.  `biconjugate_at_points` of the result
+    equals that of the whole family at every point of the box, bit for bit.
+    """
+    a, v, fstar = family
+    low = high = 0.0
+    scale = np.max(np.abs(fstar[np.isfinite(fstar)]), initial=0.0)
+    for k, (lo, hi) in enumerate(zip(lower, upper)):
+        ends = [-a * (x * x) + v[:, k] * x for x in (lo, hi)]
+        low = low + np.minimum(*ends)
+        high = high + np.maximum(*ends) + a * ((hi - lo) ** 2 / 4.0)
+        xmax = max(abs(lo), abs(hi))
+        scale = scale + np.max(a) * (xmax * xmax) + np.max(np.abs(v[:, k])) * xmax
+    keep = _may_attain(low - fstar, high - fstar, scale)
+    return a[keep], v[keep], fstar[keep]
+
+
 def biconjugate_at_points(family, points: np.ndarray) -> np.ndarray:
     """f** restricted to a `searched_family`, at every row of an (N, dim)
-    array: the maximum over the members of phi(x) - f*(phi)."""
+    array: the maximum over the members of phi(x) - f*(phi).  A zero
+    maximum is +0.0, so the value does not depend on the order in which the
+    members are reduced (or on which members join that cannot attain it)."""
     a, v, fstar = family
     out = np.full(points.shape[0], NEG_INF)
     for i in range(0, len(fstar), ROW_CHUNK):
         sl = slice(i, i + ROW_CHUNK)
         scores = quadratic_rows(-a[sl], v[sl], points) - fstar[sl, None]
         out = np.maximum(out, np.max(scores, axis=0))
-    return out
+    return out + 0.0
 
 
 def biconjugate(

@@ -265,6 +265,13 @@ def _halving_search(
     strict improvement, and the radii halve.  So a search makes 1 + rounds
     batch calls.  `seed` must lie in the bounds.  Returns (objective value,
     point) of the incumbent.
+
+    Reach: with offsets in [-1, 1], every evaluated point lies strictly
+    inside seed +- 2*radii, clipped to the bounds (`halving_reach`): the
+    incumbent moves at most r*(1 + 1/2 + ...) < 2r from the seed, and each
+    candidate lies within the current radius of it.  Searches that evaluate
+    only the members of a family that may win inside this box
+    (`_may_attain`) rest on it.
     """
     lattice = np.array(list(itertools.product(offsets, repeat=len(seed))), dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -284,6 +291,32 @@ def _halving_search(
             best_v, best_p = vals[j], cands[j]
         steps = steps / 2.0
     return float(sign * best_v), tuple(best_p.tolist())
+
+
+def halving_reach(
+    seed: Sequence[float], radii: Sequence[float], lower: Sequence[float], upper: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) corners of the box a `_halving_search` from `seed` with
+    first radii `radii` evaluates in: seed +- 2*radii, clipped to the bounds."""
+    seed, radii = np.asarray(seed, dtype=float), np.asarray(radii, dtype=float)
+    return np.maximum(seed - 2.0 * radii, lower), np.minimum(seed + 2.0 * radii, upper)
+
+
+def _may_attain(lower: np.ndarray, upper: np.ndarray, scale: float) -> np.ndarray:
+    """Mask of the members of a family that may attain its maximum somewhere
+    in a region, from each member's lower and upper bound over the region.
+
+    The floor is the largest lower bound; a member is kept iff its upper
+    bound is at least the floor less a rounding allowance of
+    1e-9 * (1 + scale), where `scale` bounds the magnitude of every term of
+    every member's value there.  A member attaining the maximum at a point
+    of the region is there at least the floor's member, so at least the
+    floor: it is kept, and the maximum, with its first attaining member, is
+    the same over the kept members, bit for bit.  The allowance covers the
+    few ulps by which computed values and bounds can miss the exact ones.
+    When every member is -inf, the floor is -inf and every member is kept.
+    """
+    return upper >= np.max(lower) - 1e-9 * (1.0 + scale)
 
 
 def refine_extremum(

@@ -36,14 +36,17 @@ from .core import (
     Point,
     as_point,
     ext_to_json,
+    halving_reach,
     inf_on_grid,
     is_finite,
     refine_extremum,
 )
 from .conjugation import (
     ConjugateSum,
+    biconjugate,
     biconjugate_at_points,
     biconjugate_on_grid,
+    family_within,
     left_conjugate,
     phi_conjugate,
     searched_family,
@@ -129,6 +132,19 @@ class ProblemInstance:
         phi_sym = self.symmetric_dual[1]
         v_sym = NEG_INF if phi_sym is None else dual_value_at(self, phi_sym)
         return (v_sym, phi_sym) if v_sym > v else (v, phi)
+
+    def convexity_gaps(self, x: Point) -> tuple[float, float]:
+        """(|f(x) - f**(x)|, |g(x) - g**(x)|), each biconjugate one solved
+        `ConjugateSum` (`biconjugate`); computed once per point and kept,
+        since every pair a KKT check tries at x needs the same two."""
+        gaps = self._convexity_gaps
+        if x not in gaps:
+            gaps[x] = tuple(abs(h(x) - biconjugate(h, x, self.phi, self.box)) for h in (self.f, self.g))
+        return gaps[x]
+
+    @cached_property
+    def _convexity_gaps(self) -> dict:
+        return {}
 
     @cached_property
     def lagrangian_primal(self) -> tuple[float, Optional[Point]]:
@@ -216,10 +232,12 @@ def _primal_minima(inst: ProblemInstance, limit: int) -> list[tuple[float, Point
     """
     if inst.method == CLOSED_FORM:
         (lo,), (hi,) = inst.box.lower, inst.box.upper
-        xs = np.unique([
+        xs = np.sort([
             quad_inf_on_interval(p.a2, p.a1, p.a0, max(p.lo, lo), min(p.hi, hi))[1] + 0.0
             for p in (inst.f.rep + inst.g.rep).pieces if max(p.lo, lo) <= min(p.hi, hi)
-        ])[:, None]
+        ])
+        # adjacent duplicates dropped, as `np.unique` would (which imports numpy.ma)
+        xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))][:, None]
         vals = inst.f.values(xs) + inst.g.values(xs)
         idx = np.arange(len(xs))
     else:
@@ -329,6 +347,17 @@ def _lagrangian_primal_search(
     extra_phis: tuple[Elementary, ...],
     x_p: Optional[Point],
 ) -> tuple[float, Optional[Point]]:
+    """val(LP) = inf over the box of f + min(g**, g) and its witness, g** the
+    maximum over the searched family (the class grid plus `extra_phis`).
+
+    The grid minimizer p is refined by 25 halving rounds on the closed-form
+    path.  That search evaluates only inside I = p +- 2h clipped to the box
+    (h the cell size, `core.halving_reach`), so it runs on the members that
+    may attain g** somewhere in I (`family_within`): the same values, bit
+    for bit, from a few of the members.  The exact primal minimizer `x_p`,
+    which may lie outside I, is one more candidate, valued over the whole
+    family.
+    """
     # g** <= g holds pointwise, so clamping by g is sound and keeps grid-sup
     # conjugates of tabulated functions from leaking above g between grid
     # points (where the exact primal minimizer `x_p` may live)
@@ -342,17 +371,21 @@ def _lagrangian_primal_search(
         return v, p
     family = searched_family(inst.g, inst.phi, inst.box, extra_phis)
 
-    def m_values(points: np.ndarray) -> np.ndarray:
-        fx = inst.f.values(points)
-        b = biconjugate_at_points(family, points)
-        gx = inst.g.values(points)
-        # min(b, g(x)) keeps b on ties, signed zeros included
-        return np.where(fx == INF, INF, fx + np.where(gx < b, gx, b))
+    def m_over(family) -> BatchObjective:
+        def m_values(points: np.ndarray) -> np.ndarray:
+            fx = inst.f.values(points)
+            b = biconjugate_at_points(family, points)
+            gx = inst.g.values(points)
+            # min(b, g(x)) keeps b on ties, signed zeros included
+            return np.where(fx == INF, INF, fx + np.where(gx < b, gx, b))
 
-    m = BatchObjective(m_values)
+        return BatchObjective(m_values)
+
     if inst.method == CLOSED_FORM:
-        v, p = refine_extremum(m, inst.box, p, 25, kind="inf")
-    m_p = INF if x_p is None else m(x_p)
+        reach = halving_reach(p, inst.box.cell_sizes(), inst.box.lower, inst.box.upper)
+        v, p = refine_extremum(m_over(family_within(family, *reach)), inst.box, p, 25, kind="inf")
+    # x_p may lie outside the refinement's reach: the whole family
+    m_p = INF if x_p is None else m_over(family)(x_p)
     return (m_p, x_p) if m_p < v else (v, p)
 
 

@@ -43,6 +43,7 @@ from .core import (
     ROW_CHUNK,
     BoxDomain,
     Point,
+    _may_attain,
     _values_at,
     as_point,
     dot,
@@ -379,6 +380,11 @@ class PhiClass:
             for _ in range(self.dim):
                 axes.append(np.linspace(-self.v_max, self.v_max, next(sizes)))
         return axes
+
+    def param_steps(self) -> list[float]:
+        """The spacing of each parameter axis: the first radii of a search
+        around a grid member."""
+        return [float(ax[1] - ax[0]) for ax in self.param_axes()]
 
     def param_grid(self) -> np.ndarray:
         """All searched parameter vectors, shape (N, n_params), lexicographic:
@@ -813,9 +819,9 @@ class TabulatedFunction:
         """h at the grid points of `box` (read-only)."""
         return self.grid_values if box == self.box else values_on_grid(self, box)
 
-    def _offsets_on_grid(self, qa: np.ndarray, qb: np.ndarray, box: BoxDomain) -> np.ndarray:
-        """qa*|x|^2 + <qb, x> - h(x), one row per (qa, qb) row, one column per grid point."""
-        return quadratic_rows(qa, qb, box.grid().points) - self._values_on(box)
+    def _on(self, box: BoxDomain) -> "_PointTable":
+        """h as known at the grid points of `box`."""
+        return _PointTable(box.grid().points, self._values_on(box))
 
     def sup_quadratic_offset(
         self,
@@ -842,26 +848,13 @@ class TabulatedFunction:
     ):
         """Grid maxima of `sup_quadratic_offset` at every row of (qa, qb, qc).
 
-        Rows are grid maxima on `box` whatever `restrict` says.  `qb` has
-        shape (N, dim).  With `points`, returns (values, attaining points
-        (N, dim)): each row's first grid point of greatest cell, NaN where
-        the row is -inf.
+        Rows are grid maxima on `box` whatever `restrict` says: the dense
+        maxima of `_PointTable` over the box's grid points.  `qb` has shape
+        (N, dim).  With `points`, returns (values, attaining points (N,
+        dim)): each row's first grid point of greatest cell, NaN where the
+        row is -inf.
         """
-        qa = np.asarray(qa, dtype=float)
-        qb = np.asarray(qb, dtype=float).reshape(len(qa), self.dim)
-        out = np.empty(len(qa))
-        arg = np.empty(len(qa), dtype=np.intp)
-        for i in range(0, len(qa), ROW_CHUNK):
-            sl = slice(i, i + ROW_CHUNK)
-            cells = self._offsets_on_grid(qa[sl], qb[sl], box)
-            out[sl] = np.max(cells, axis=1)
-            if points:
-                arg[sl] = np.argmax(cells, axis=1)
-        out = out + qc
-        if not points:
-            return out
-        at = box.grid().points[arg]
-        return out, np.where((out > NEG_INF)[:, None], at, np.nan)
+        return self._on(box).sup_quadratic_offset_many(qa, qb, qc, points=points)
 
     def sup_quadratic_offset_lattice(
         self,
@@ -876,7 +869,7 @@ class TabulatedFunction:
 
         In 1D all qa slices are one `_monotone_row_max` call over the qb rows
         in ascending order and the ascending grid points, with the cells of
-        `_offsets_on_grid`: the least and the greatest qb take the maximum
+        `_PointTable`: the least and the greatest qb take the maximum
         over every grid point, every other row over the points between the
         argmaxima of rows around it, so each value is a maximum over a subset
         of the dense row's cells.  In 2D the rows are the dense ones.
@@ -900,6 +893,64 @@ class TabulatedFunction:
         if a < 0:
             raise ValueError("shift coefficient a must be >= 0")
         return TabulatedFunction(self.box, _Shifted(self, a), f"{self.label}~")
+
+
+class _PointTable:
+    """A function h known at the rows of an (N, dim) array of points and
+    +inf elsewhere, as far as its sups go: every sup of
+    (qa*|x|^2 + <qb, x> + qc) - h(x) is the maximum of the cells
+    qa*|x|^2 + <qb, x> - h(x) over the points, plus qc.  A table's dense
+    sups are those over its box's grid points (`TabulatedFunction._on`);
+    `within` keeps the points that may attain a sup for the (qa, qb) a
+    search can reach (`ProperFunction.within`).  It offers the `_many` sup,
+    `dim` and `method` only, which is what the conjugates use.
+    """
+
+    method = GRID_ORACLE
+
+    def __init__(self, points: np.ndarray, values: np.ndarray):
+        self.points, self.h = points, values
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+    def sup_quadratic_offset_many(self, qa, qb, qc, box=None, restrict=True, points=False):
+        """The maxima at every row of (qa, qb, qc), `qb` of shape (N, dim);
+        `box` and `restrict` are ignored.  With `points`, (values, attaining
+        points (N, dim)): each row's first point of greatest cell, NaN where
+        the row is -inf.  Products and sums are elementwise (`quadratic_rows`),
+        so each cell is the same whichever points share the table."""
+        qa = np.asarray(qa, dtype=float)
+        qb = np.asarray(qb, dtype=float).reshape(len(qa), self.dim)
+        out = np.empty(len(qa))
+        arg = np.empty(len(qa), dtype=np.intp)
+        for i in range(0, len(qa), ROW_CHUNK):
+            sl = slice(i, i + ROW_CHUNK)
+            cells = quadratic_rows(qa[sl], qb[sl], self.points) - self.h
+            out[sl] = np.max(cells, axis=1)
+            if points:
+                arg[sl] = np.argmax(cells, axis=1)
+        out = out + qc
+        if not points:
+            return out
+        return out, np.where((out > NEG_INF)[:, None], self.points[arg], np.nan)
+
+    def within(self, qa: np.ndarray, qb: np.ndarray) -> "_PointTable":
+        """The points whose cell may attain the maximum for some (qa, qb) in
+        the convex hull of the rows of (qa (K,), qb (K, dim)) (`_may_attain`).
+
+        Each cell is affine in (qa, qb), so its least and greatest values on
+        the hull are at the given rows; the rounding allowance's scale is
+        max|qa| * max|x|^2 + sum_k max|qb_k| * max|x_k| + max finite |h|.
+        """
+        cells = quadratic_rows(qa, qb, self.points) - self.h
+        finite = self.h[np.isfinite(self.h)]
+        scale = (np.max(np.abs(qa)) * np.max(_squares(self.points))
+                 + np.sum(np.max(np.abs(qb), axis=0) * np.max(np.abs(self.points), axis=0))
+                 + np.max(np.abs(finite), initial=0.0))
+        keep = _may_attain(cells.min(axis=0), cells.max(axis=0), scale)
+        return _PointTable(self.points[keep], self.h[keep])
 
 
 @dataclass(frozen=True)
@@ -959,6 +1010,15 @@ class ProperFunction:
 
     def shifted(self, a: float) -> "ProperFunction":
         return ProperFunction(self.rep.shifted(a), f"{self.label}~")
+
+    def within(self, qa: np.ndarray, qb: np.ndarray, box: BoxDomain) -> "ProperFunction":
+        """f as far as the values and points of `sup_quadratic_offset_many` on
+        `box` go for (qa, qb) in the convex hull of the rows of (qa (K,),
+        qb (K, dim)): a table keeps the grid points that may attain one of
+        those sups (`_PointTable.within`), bit for bit the same sups with
+        the same first attaining points; a piecewise quadratic is itself."""
+        tab = self.tabulated
+        return self if tab is None else ProperFunction(tab._on(box).within(qa, qb), self.label)
 
 
 def proper_piecewise(label: str, *specs: tuple) -> ProperFunction:

@@ -370,8 +370,7 @@ def _box_dual_winner(inst: ProblemInstance, sub: PhiClass) -> tuple[Point, Optio
         cuts.update(zip(v.tolist(), zip(dv.tolist(), sv[:, 0].tolist())))
         return dv, sv[:, 0]
 
-    (axis,) = sub.param_axes()
-    step, v_max = float(axis[1] - axis[0]), sub.v_max
+    (step,), v_max = sub.param_steps(), sub.v_max
     v = _maximize_concave(oracle, v_grid[0], step, -v_max, v_max)[1]
     return (float(v),), _cut_bound(cuts, -v_max, v_max)
 

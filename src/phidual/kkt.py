@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import INF, NEG_INF, Point, as_point, ext_to_json, is_finite
-from .conjugation import biconjugate, phi_conjugate
+from .conjugation import phi_conjugate
 from .duality import ProblemInstance, _members_by_dual_value, _primal_minima
 from .functions import Elementary, ProperFunction, UnsupportedClassError
 from .subdifferential import SubgradientCertificate, is_dual_subgradient, is_subgradient
@@ -89,8 +89,7 @@ def _certify(
     fstar = phi_conjugate(f1, neg, inst.box).value
     gstar = phi_conjugate(inst.g, phi_star, inst.box).value
     dual = NEG_INF if (fstar == INF or gstar == INF) else -fstar - gstar
-    gf = abs(inst.f(x_star) - biconjugate(inst.f, x_star, inst.phi, inst.box))
-    gg = abs(inst.g(x_star) - biconjugate(inst.g, x_star, inst.phi, inst.box))
+    gf, gg = inst.convexity_gaps(x_star)
     optimal = (
         cond1.holds
         and cond2.holds

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -495,3 +499,35 @@ def test_cli_rejects_an_empty_alpha_list(capsys, alpha_list):
     # that never ran
     assert main(["gap-analyze", "--catalog", "fenchel-quadratic", "--alpha-list", alpha_list]) == 1
     assert "error: the alpha list must not be empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "--catalog", "example-6.1", "--which", "f", "--a", "0", "--v", "1"],
+    ["conjugate", "--catalog", "example-6.1", "--which", "f", "--a", "0", "--b", "1", "--lef"],
+    ["dual-report", "--cat", "example-6.1"],
+])
+def test_cli_rejects_abbreviated_options(capsys, argv):
+    # `--v 1` once parsed as `--v-max 1`, evaluated phi at b = 0 and printed 0
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_paths_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 10 ms of every process that imports it; `np.unique`
+    # in the primal minima once did
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from phidual.cli import main\n"
+        f"out = {str(tmp_path / 'out.json')!r}\n"
+        "for cmd in ('dual-report', 'gap-analyze'):\n"
+        "    assert main([cmd, '--catalog', 'example-6.1', '--out', out]) == 0\n"
+        "assert main(['kkt-verify', '--catalog', 'example-6.1', '--x=0.0', '--a=1.0',\n"
+        "             '--w=0.0', '--out', out]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
