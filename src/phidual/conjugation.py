@@ -8,9 +8,9 @@ For phi(x) = -a*||x||^2 + <v, x> + c the two one-sided transforms are
 Each is one call of the function's `sup_quadratic_offset` with the quadratic
 phi (right) or -phi (left): exact for piecewise quadratics, the maximum over
 the box's grid for tabulated functions, which are +inf outside their box
-(see `functions`).  By default the sup runs over the function's own
-conceptual domain; `restrict_to_box=True` limits the quantifier to the
-working box, which is what the subgradient-side tests use.
+(see `functions`).  The sup runs over the function's own domain; the
+conjugate over the working box, which the subgradient-side tests and the
+sum condition's box dual use, is the conjugate of `f.restricted_to(box)`.
 
 `conjugate_table` and `biconjugate_on_grid` are maxima over the parameter
 lattice (a axis x v rows).  In 1D both sweep it with the monotone-argmax
@@ -88,35 +88,23 @@ class ConjugateValue:
         return self.value
 
 
-def _sup_offset(
-    f: ProperFunction, phi: Elementary, sign: float, box: BoxDomain, restrict: bool
-) -> ConjugateValue:
+def _sup_offset(f: ProperFunction, phi: Elementary, sign: float, box: BoxDomain) -> ConjugateValue:
     """sup of sign*phi - f (sign=+1: right conjugate, -1: left)."""
     if phi.dim != f.dim:
         raise ValueError("dimension mismatch between phi and f")
     qb = tuple(sign * vi for vi in phi.v)
-    v, p = f.sup_quadratic_offset(-sign * phi.a, qb, sign * phi.c, box, restrict)
+    v, p = f.sup_quadratic_offset(-sign * phi.a, qb, sign * phi.c, box)
     return ConjugateValue(v, p if is_finite(v) else None, f.method)
 
 
-def phi_conjugate(
-    f: ProperFunction,
-    phi: Elementary,
-    box: BoxDomain,
-    restrict_to_box: bool = False,
-) -> ConjugateValue:
+def phi_conjugate(f: ProperFunction, phi: Elementary, box: BoxDomain) -> ConjugateValue:
     """f*(phi) = sup (phi - f)."""
-    return _sup_offset(f, phi, +1.0, box, restrict_to_box)
+    return _sup_offset(f, phi, +1.0, box)
 
 
-def left_conjugate(
-    f: ProperFunction,
-    phi: Elementary,
-    box: BoxDomain,
-    restrict_to_box: bool = False,
-) -> ConjugateValue:
+def left_conjugate(f: ProperFunction, phi: Elementary, box: BoxDomain) -> ConjugateValue:
     """*f(phi) = sup (-f - phi); equals f*(-phi) whenever -phi stays in the class."""
-    return _sup_offset(f, phi, -1.0, box, restrict_to_box)
+    return _sup_offset(f, phi, -1.0, box)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +129,7 @@ def conjugates_at_params(
     (values, attaining points) as `sup_quadratic_offset_many` gives them."""
     a, v = phi_class.split_params(params)
     sign = _sign(side)
-    return f.sup_quadratic_offset_many(-sign * a, sign * v, 0.0, box, restrict=False, points=points)
+    return f.sup_quadratic_offset_many(-sign * a, sign * v, 0.0, box, points=points)
 
 
 @lru_cache(maxsize=64)
@@ -154,7 +142,7 @@ def conjugate_table(
     as the dense rows."""
     a, v = phi_class.lattice()
     sign = _sign(side)
-    values = f.sup_quadratic_offset_lattice(-sign * a, sign * v, 0.0, box, restrict=False)
+    values = f.sup_quadratic_offset_lattice(-sign * a, sign * v, 0.0, box)
     values = values.ravel()
     values.setflags(write=False)
     return values
@@ -204,10 +192,11 @@ class ConjugateSum:
     maximum found from the sweep's winner (`_sweep_and_refine`).  It is
     concave in p; with one parameter (the affine class in 1D),
     `slopes(rows)` returns the values and a supergradient per row,
-    x - sum_k t_k*y_k, where y_k attains C_k and t_k is +1 for a right
-    conjugate and -1 for a left one (Danskin).  `within(lower, upper)` is
-    the same program for rows inside a parameter box, from fewer grid
-    points of its tables; `solve()` searches it over the search's reach.
+    x - sum_k t_k*y_k (from -t_1*y_1 without `x`), where y_k attains C_k
+    and t_k is +1 for a right conjugate and -1 for a left one (Danskin).
+    `within(lower, upper)` is the same program for rows inside a parameter
+    box, from fewer grid points of its tables; `solve()` searches it over
+    the search's reach.
     """
 
     def __init__(self, phi_class: PhiClass, box: BoxDomain, parts, x: Optional[Point] = None,
@@ -230,10 +219,11 @@ class ConjugateSum:
         ])
 
     def slopes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        slope, conjugates = 0.0 if self.x is None else self.x[0], []
+        slope, conjugates = None if self.x is None else self.x[0], []
         for f, side in self.parts:
             c, y = conjugates_at_params(f, self.phi_class, self.box, rows, side, points=True)
-            slope = slope - _sign(side) * y[:, 0]
+            ty = _sign(side) * y[:, 0]
+            slope = -ty if slope is None else slope - ty
             conjugates.append(c)
         return self._combine(rows, conjugates), slope
 

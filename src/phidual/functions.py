@@ -5,15 +5,18 @@ and both representations offer the same small interface:
 
 * ``dim`` and ``method`` (``CLOSED_FORM`` or ``GRID_ORACLE``);
 * ``values(points)`` on an (N, dim) array;
-* ``sup_quadratic_offset(qa, qb, qc, box, restrict)``, the sup of
-  ``qa*|x|^2 + <qb, x> + qc - f(x)`` over the box or the whole space,
+* ``sup_quadratic_offset(qa, qb, qc, box)``, the sup of
+  ``qa*|x|^2 + <qb, x> + qc - f(x)`` over the function's own domain,
   ``sup_quadratic_offset_many`` over parameter rows and
   ``sup_quadratic_offset_lattice`` over every pair of a ``qa`` axis and
-  ``qb`` rows (a table is +inf outside its box, so each of its sups is the
-  maximum over the box's grid, with or without ``restrict``);
-* ``shifted(a)``, the function ``f - a*|x|^2``.
+  ``qb`` rows (a table is +inf outside its box and known on the grid of
+  ``box``, so each of its sups is the maximum over that grid);
+* ``shifted(a)``, the function ``f - a*|x|^2``;
+* ``restricted_to(box)``, the function f + i_box: f on the box, +inf
+  outside it.
 
-Conjugates, subgradient tests and Lagrangian slices are all such sups.
+Conjugates, subgradient tests and Lagrangian slices are all such sups; a
+sup over the box is the sup of ``f.restricted_to(box)``.
 :class:`PiecewiseQuadratic` (1D, finitely many quadratic pieces, +inf
 outside their union) computes them exactly by vertex clamping;
 :class:`TabulatedFunction` (a black-box evaluator on a box, +inf outside
@@ -244,12 +247,10 @@ def _monotone_row_max(cell, n_slices: int, n_rows: int, n_cols: int) -> np.ndarr
         clo, chi = np.concatenate([clo[left], arg[right]]), np.concatenate([arg[left], chi[right]])
 
 
-def _lattice_by_rows(rep, qa: np.ndarray, qb: np.ndarray, qc, box, restrict) -> np.ndarray:
+def _lattice_by_rows(rep, qa: np.ndarray, qb: np.ndarray, qc, box) -> np.ndarray:
     """`rep.sup_quadratic_offset_many` at every pair (qa_s, qb_i), qa-major,
     as an (S, R) array."""
-    rows = rep.sup_quadratic_offset_many(
-        np.repeat(qa, len(qb)), np.tile(qb, (len(qa), 1)), qc, box, restrict
-    )
+    rows = rep.sup_quadratic_offset_many(np.repeat(qa, len(qb)), np.tile(qb, (len(qa), 1)), qc, box)
     return rows.reshape(len(qa), len(qb))
 
 
@@ -578,10 +579,14 @@ class PiecewiseQuadratic:
             out[m] = np.where(poly < out[m], poly, out[m])
         return out
 
-    def _interval(self, box: Optional[BoxDomain], restrict: bool) -> tuple[float, float]:
-        if box is None or not restrict:
-            return NEG_INF, INF
-        return box.lower[0], box.upper[0]
+    def restricted_to(self, box: BoxDomain) -> "PiecewiseQuadratic":
+        """f on the box and +inf outside it: the pieces clipped to the box,
+        those that miss it dropped.  Raises when the domain misses the box."""
+        lo, hi = box.lower[0], box.upper[0]
+        return PiecewiseQuadratic(tuple(
+            QuadraticPiece(max(p.lo, lo), min(p.hi, hi), p.a2, p.a1, p.a0)
+            for p in self.pieces if max(p.lo, lo) <= min(p.hi, hi)
+        ))
 
     # kept beside `_many`: 7 us on three pieces, 128 us as a one-row batch (2 vCPU, numpy 2.4)
     def sup_quadratic_offset(
@@ -590,24 +595,18 @@ class PiecewiseQuadratic:
         qb,
         qc: float,
         box: Optional[BoxDomain] = None,
-        restrict: bool = True,
     ) -> tuple[float, Optional[Point]]:
-        """sup of (qa*x^2 + qb*x + qc) - f(x) and an attaining point.
+        """sup of (qa*x^2 + qb*x + qc) - f(x) over the pieces and an
+        attaining point; `box` is not read.
 
-        The sup runs over the box when `restrict` (and a box is given), over
-        the whole line otherwise.  Exact per piece via vertex clamping; +inf
-        is detected analytically on unbounded pieces.  `qb` is a number or a
-        one-coordinate point.
+        Exact per piece via vertex clamping; +inf is detected analytically
+        on unbounded pieces.  `qb` is a number or a one-coordinate point.
         """
         if not np.isscalar(qb):
             (qb,) = qb
-        blo, bhi = self._interval(box, restrict)
         best_v, best_x = NEG_INF, None
         for p in self.pieces:
-            lo, hi = max(p.lo, blo), min(p.hi, bhi)
-            if lo > hi:
-                continue
-            v, x = quad_sup_on_interval(qa - p.a2, qb - p.a1, qc - p.a0, lo, hi)
+            v, x = quad_sup_on_interval(qa - p.a2, qb - p.a1, qc - p.a0, p.lo, p.hi)
             if v > best_v:
                 best_v, best_x = v, (None if x is None else (x,))
         return best_v, best_x
@@ -619,8 +618,9 @@ class PiecewiseQuadratic:
         qc: float,
         box: Optional[BoxDomain] = None,
     ) -> tuple[float, Optional[Point]]:
-        """inf of f(x) + (qa*x^2 + qb*x + qc), optionally restricted to the box."""
-        v, x = self.sup_quadratic_offset(-qa, -qb, -qc, box)
+        """inf of f(x) + (qa*x^2 + qb*x + qc), over the box when one is given."""
+        f = self if box is None else self.restricted_to(box)
+        v, x = f.sup_quadratic_offset(-qa, -qb, -qc)
         return -v, x
 
     def sup_quadratic_offset_many(
@@ -629,7 +629,6 @@ class PiecewiseQuadratic:
         qb: np.ndarray,
         qc,
         box: Optional[BoxDomain] = None,
-        restrict: bool = True,
         points: bool = False,
     ):
         """`sup_quadratic_offset` values at every row of (qa, qb, qc).
@@ -643,14 +642,10 @@ class PiecewiseQuadratic:
         qa = np.asarray(qa, dtype=float)
         qb = np.asarray(qb, dtype=float).reshape(qa.shape)
         qc = np.asarray(qc, dtype=float)
-        blo, bhi = self._interval(box, restrict)
         out = np.full(qa.shape, NEG_INF)
         x = np.full(qa.shape, np.nan)
         for p in self.pieces:
-            lo, hi = max(p.lo, blo), min(p.hi, bhi)
-            if lo > hi:
-                continue
-            r = quad_sup_on_interval_many(qa - p.a2, qb - p.a1, qc - p.a0, lo, hi, points)
+            r = quad_sup_on_interval_many(qa - p.a2, qb - p.a1, qc - p.a0, p.lo, p.hi, points)
             if points:
                 r, xr = r
                 x = np.where(r > out, xr, x)
@@ -663,12 +658,11 @@ class PiecewiseQuadratic:
         qb: np.ndarray,
         qc,
         box: Optional[BoxDomain] = None,
-        restrict: bool = True,
     ) -> np.ndarray:
         """`sup_quadratic_offset_many` at every pair (qa_s, qb_i) of a qa axis
         (S,) and qb rows (R, 1): an (S, R) array, row by row as `_many`."""
         qa, qb = np.asarray(qa, dtype=float), np.asarray(qb, dtype=float).reshape(-1, 1)
-        return _lattice_by_rows(self, qa, qb, qc, box, restrict)
+        return _lattice_by_rows(self, qa, qb, qc, box)
 
     def shifted(self, a: float) -> "PiecewiseQuadratic":
         """f(x) - a*x^2, a >= 0, on identical intervals (only a2 moves)."""
@@ -769,11 +763,12 @@ class TabulatedFunction:
     on the same box (a table read from an instance document) gives its grid
     values as its table, with no lookup.
 
-    The function is known only at the box's grid points, so every sup of
-    (quadratic - h) is the maximum over that grid, with or without
-    `restrict`: the discrete Legendre transform (Lucet, Numer. Algorithms
-    16, 1997).  `sup_quadratic_offset` is the one-row
-    `sup_quadratic_offset_many`, so both give the same value and point.
+    The function is known only at the grid points of the box a sup is
+    given, so every sup of (quadratic - h) is the maximum over that grid:
+    the discrete Legendre transform (Lucet, Numer. Algorithms 16, 1997),
+    and `restricted_to` is the table itself.  `sup_quadratic_offset` is the
+    one-row `sup_quadratic_offset_many`, so both give the same value and
+    point.
     """
 
     box: BoxDomain
@@ -829,7 +824,6 @@ class TabulatedFunction:
         qb: Point,
         qc: float,
         box: BoxDomain,
-        restrict: bool = True,
     ) -> tuple[float, Optional[Point]]:
         """sup of (qa*|x|^2 + <qb, x> + qc) - h(x) and an attaining point:
         the one-row `sup_quadratic_offset_many` with its point, (-inf, None)
@@ -843,16 +837,14 @@ class TabulatedFunction:
         qb: np.ndarray,
         qc,
         box: BoxDomain,
-        restrict: bool = True,
         points: bool = False,
     ):
         """Grid maxima of `sup_quadratic_offset` at every row of (qa, qb, qc).
 
-        Rows are grid maxima on `box` whatever `restrict` says: the dense
-        maxima of `_PointTable` over the box's grid points.  `qb` has shape
-        (N, dim).  With `points`, returns (values, attaining points (N,
-        dim)): each row's first grid point of greatest cell, NaN where the
-        row is -inf.
+        Rows are the dense maxima of `_PointTable` over the grid points of
+        `box`.  `qb` has shape (N, dim).  With `points`, returns (values,
+        attaining points (N, dim)): each row's first grid point of greatest
+        cell, NaN where the row is -inf.
         """
         return self._on(box).sup_quadratic_offset_many(qa, qb, qc, points=points)
 
@@ -862,7 +854,6 @@ class TabulatedFunction:
         qb: np.ndarray,
         qc,
         box: BoxDomain,
-        restrict: bool = True,
     ) -> np.ndarray:
         """`sup_quadratic_offset_many` at every pair (qa_s, qb_i) of a qa axis
         (S,) and qb rows (R, dim): an (S, R) array.
@@ -877,7 +868,7 @@ class TabulatedFunction:
         qa = np.asarray(qa, dtype=float)
         qb = np.asarray(qb, dtype=float).reshape(-1, self.dim)
         if self.dim != 1:
-            return _lattice_by_rows(self, qa, qb, qc, box, restrict)
+            return _lattice_by_rows(self, qa, qb, qc, box)
         points, hv = box.grid().points, self._values_on(box)
         x, sq = points[:, 0], _squares(points)
         order = np.argsort(qb[:, 0], kind="stable")
@@ -893,6 +884,11 @@ class TabulatedFunction:
         if a < 0:
             raise ValueError("shift coefficient a must be >= 0")
         return TabulatedFunction(self.box, _Shifted(self, a), f"{self.label}~")
+
+    def restricted_to(self, box: BoxDomain) -> "TabulatedFunction":
+        """The table itself, which is all its sups on `box` see: each is a
+        maximum over the grid of `box`."""
+        return self
 
 
 class _PointTable:
@@ -915,12 +911,12 @@ class _PointTable:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def sup_quadratic_offset_many(self, qa, qb, qc, box=None, restrict=True, points=False):
+    def sup_quadratic_offset_many(self, qa, qb, qc, box=None, points=False):
         """The maxima at every row of (qa, qb, qc), `qb` of shape (N, dim);
-        `box` and `restrict` are ignored.  With `points`, (values, attaining
-        points (N, dim)): each row's first point of greatest cell, NaN where
-        the row is -inf.  Products and sums are elementwise (`quadratic_rows`),
-        so each cell is the same whichever points share the table."""
+        `box` is ignored.  With `points`, (values, attaining points (N,
+        dim)): each row's first point of greatest cell, NaN where the row is
+        -inf.  Products and sums are elementwise (`quadratic_rows`), so each
+        cell is the same whichever points share the table."""
         qa = np.asarray(qa, dtype=float)
         qb = np.asarray(qb, dtype=float).reshape(len(qa), self.dim)
         out = np.empty(len(qa))
@@ -999,17 +995,22 @@ class ProperFunction:
             raise ValueError(f"points of shape {pts.shape} do not match function dimension {self.dim}")
         return self.rep.values(pts)
 
-    def sup_quadratic_offset(self, qa, qb, qc, box: BoxDomain, restrict=True):
-        return self.rep.sup_quadratic_offset(qa, qb, qc, box, restrict)
+    def sup_quadratic_offset(self, qa, qb, qc, box: BoxDomain):
+        return self.rep.sup_quadratic_offset(qa, qb, qc, box)
 
-    def sup_quadratic_offset_many(self, qa, qb, qc, box: BoxDomain, restrict=True, points=False):
-        return self.rep.sup_quadratic_offset_many(qa, qb, qc, box, restrict, points)
+    def sup_quadratic_offset_many(self, qa, qb, qc, box: BoxDomain, points=False):
+        return self.rep.sup_quadratic_offset_many(qa, qb, qc, box, points)
 
-    def sup_quadratic_offset_lattice(self, qa, qb, qc, box: BoxDomain, restrict=True):
-        return self.rep.sup_quadratic_offset_lattice(qa, qb, qc, box, restrict)
+    def sup_quadratic_offset_lattice(self, qa, qb, qc, box: BoxDomain):
+        return self.rep.sup_quadratic_offset_lattice(qa, qb, qc, box)
 
     def shifted(self, a: float) -> "ProperFunction":
         return ProperFunction(self.rep.shifted(a), f"{self.label}~")
+
+    def restricted_to(self, box: BoxDomain) -> "ProperFunction":
+        """f + i_box, the function f on the box and +inf outside it, under
+        the same label: every sup of it is a sup over the box."""
+        return ProperFunction(self.rep.restricted_to(box), self.label)
 
     def within(self, qa: np.ndarray, qb: np.ndarray, box: BoxDomain) -> "ProperFunction":
         """f as far as the values and points of `sup_quadratic_offset_many` on
@@ -1049,4 +1050,4 @@ def support_membership(
     tables)."""
     if phi.dim != f.dim:
         raise ValueError("dimension mismatch between phi and f")
-    return f.sup_quadratic_offset(-phi.a, phi.v, phi.c, box)[0] <= tol
+    return f.restricted_to(box).sup_quadratic_offset(-phi.a, phi.v, phi.c, box)[0] <= tol

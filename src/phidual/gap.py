@@ -28,13 +28,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import INF, NEG_INF, BoxDomain, Point, ext_to_json, is_finite
-from .conjugation import _maximize_concave, _sweep_and_refine, phi_conjugate
+from .conjugation import (
+    ConjugateSum,
+    _maximize_concave,
+    _sweep_and_refine,
+    conjugates_at_params,
+    phi_conjugate,
+)
 from .duality import ProblemInstance, _members_by_dual_value
 from .functions import (
     CLOSED_FORM,
     Elementary,
     PhiClass,
-    ProperFunction,
     UnsupportedClassError,
     quad_inf_on_interval,
     values_on_grid,
@@ -176,11 +181,12 @@ def support_candidates(
     gstar = phi_conjugate(inst.g, psi, inst.box).value
     if gstar == INF:
         return []
+    f_box = inst.f.restricted_to(inst.box)
 
     def inf_l(a: float, v: tuple) -> float:
         # inf(f + psi - g*(psi) + a|x|^2 - <v, x>) = -sup(q - f), q = -(...)
         qb = tuple(vi - pi for vi, pi in zip(v, psi.v))
-        return -inst.f.sup_quadratic_offset(psi.a - a, qb, gstar - psi.c, inst.box)[0]
+        return -f_box.sup_quadratic_offset(psi.a - a, qb, gstar - psi.c, inst.box)[0]
 
     zeros = (0.0,) * inst.phi.dim
     inf_0 = inf_l(0.0, zeros)
@@ -310,21 +316,12 @@ class BuiConditionResult:
         }
 
 
-def _pair_margins(
-    f: ProperFunction, box: BoxDomain, vs: np.ndarray, sign: float, points: bool = False
-):
-    """inf over the box of f(x) - sign*<v, x>, per row of vs; with `points`,
-    (values, attaining points)."""
-    r = f.sup_quadratic_offset_many(np.zeros(len(vs)), sign * vs, 0.0, box, points=points)
-    return (-r[0], r[1]) if points else -r
-
-
-def _box_dual(inst: ProblemInstance, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d_box(v) = inf_box(f + <v, .>) + inf_box(g - <v, .>) per row of vs,
-    and its Danskin supergradient x_f - x_g from the attaining points."""
-    m_f, x_f = _pair_margins(inst.f, inst.box, vs, -1.0, points=True)
-    m_g, x_g = _pair_margins(inst.g, inst.box, vs, +1.0, points=True)
-    return m_f + m_g, x_f - x_g
+def _box_dual(inst: ProblemInstance) -> ConjugateSum:
+    """d_box(v) = inf_box(f + <v, .>) + inf_box(g - <v, .>) over the
+    symmetric subclass: the conjugate dual -*f(phi) - g*(phi) of f and g
+    restricted to the box, whose supergradient is x_f - x_g."""
+    f, g = (h.restricted_to(inst.box) for h in (inst.f, inst.g))
+    return ConjugateSum(inst.phi.symmetric_subclass(), inst.box, ((f, "left"), (g, "right")))
 
 
 def _cut_bound(cuts: dict, lower: float, upper: float) -> float:
@@ -345,41 +342,44 @@ def _cut_bound(cuts: dict, lower: float, upper: float) -> float:
     return max(min(c + s * u for c, s in lines) for u in us)
 
 
-def _box_dual_winner(inst: ProblemInstance, sub: PhiClass) -> tuple[Point, Optional[float]]:
-    """(v*, U): the best v found for d_box over the symmetric subclass `sub`
-    and, when `sub` has at most one parameter, an upper bound U of d_box
-    over |v| <= v_max (None with two parameters).
+def _box_dual_winner(program: ConjugateSum) -> tuple[Point, Optional[float]]:
+    """(v*, U): the best v found for the box dual `program` over its class,
+    the symmetric subclass, and, when that has at most one parameter, an
+    upper bound U of d_box over |v| <= v_max (None with two parameters).
 
     With no parameter d_box is its one value.  With one, the grid winner is
-    solved to the maximum by `_maximize_concave`, and U is `_cut_bound` of
-    the cuts it evaluated, never the best value found.
+    solved to the maximum by `_maximize_concave` on the program within its
+    reach, as `_sweep_and_refine` does, and U is `_cut_bound` of the cuts
+    it evaluated, never the best value found.
     """
-    params = sub.param_grid()
-    vs = sub.split_params(params)[1]
-    d = _box_dual(inst, vs)[0]
+    sub, d = program.phi_class, program.sweep()
     i = int(np.argmax(d))
-    v_grid = tuple(float(c) for c in vs[i])
+    v_grid = tuple(float(c) for c in sub.split_params(sub.param_grid())[1][i])
     if sub.n_params == 0:
         return v_grid, float(d[i])
     if sub.n_params > 1:
         return v_grid, None
     cuts: dict = {}
+    (v0,), (step,), v_max = v_grid, sub.param_steps(), sub.v_max
+    near = program.within((max(v0 - step, -v_max),), (min(v0 + step, v_max),))
 
     def oracle(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dv, sv = _box_dual(inst, v[:, None])
-        cuts.update(zip(v.tolist(), zip(dv.tolist(), sv[:, 0].tolist())))
-        return dv, sv[:, 0]
+        dv, sv = near.slopes(v[:, None])
+        cuts.update(zip(v.tolist(), zip(dv.tolist(), sv.tolist())))
+        return dv, sv
 
-    (step,), v_max = sub.param_steps(), sub.v_max
-    v = _maximize_concave(oracle, v_grid[0], step, -v_max, v_max)[1]
+    v = _maximize_concave(oracle, v0, step, -v_max, v_max)[1]
     return (float(v),), _cut_bound(cuts, -v_max, v_max)
 
 
-def _grid_search(inst: ProblemInstance, sub: PhiClass, tol: float):
+def _grid_search(inst: ProblemInstance, program: ConjugateSum, tol: float):
     """The band's search: eps -> (v, x_bar) or None, over x_bar on the box
-    grid and v on the grid of `sub`, plus one v refined from the row needing
-    the least eps once some eps has no witness on the grid.  The grid rows
-    and the refined row are computed at the first eps that needs them."""
+    grid and v on the grid of the box dual `program`'s class, plus one v
+    refined from the row needing the least eps once some eps has no witness
+    on the grid; the margins are minus the conjugates of its parts.  The
+    grid rows and the refined row are computed at the first eps that needs
+    them."""
+    sub, ((f_box, _), (g_box, _)) = program.phi_class, program.parts
     pts, params = inst.box.grid().points, sub.param_grid()
 
     def margins(rows: np.ndarray) -> tuple:
@@ -388,8 +388,8 @@ def _grid_search(inst: ProblemInstance, sub: PhiClass, tol: float):
         vx = vs @ pts.T  # (Nv, M)
         gv = values_on_grid(inst.g.rep, inst.box)
         fv = values_on_grid(inst.f.rep, inst.box)
-        m_g = _pair_margins(inst.g, inst.box, vs, +1.0)[:, None]
-        m_f = _pair_margins(inst.f, inst.box, vs, -1.0)[:, None]
+        m_g = -conjugates_at_params(g_box, sub, inst.box, rows, "right")[:, None]
+        m_f = -conjugates_at_params(f_box, sub, inst.box, rows, "left")[:, None]
         return vs, gv[None, :] - vx, m_g, fv[None, :] + vx, m_f
 
     def minus_least_eps(m: tuple) -> np.ndarray:
@@ -433,8 +433,9 @@ def check_bui_condition(
     summing to zero must both vanish), so a pair is a slope v; constants
     cancel and stay 0.  The two slacks of (x_bar, v) sum to
     f(x_bar) + g(x_bar) - d_box(v), with d_box(v) = inf_box(f + <v, .>) +
-    inf_box(g - <v, .>), so they are at least G = val(P) - sup d_box.  Each
-    eps is decided, in this order:
+    inf_box(g - <v, .>) the conjugate dual of f and g restricted to the box
+    (`_box_dual`), so they are at least G = val(P) - sup d_box.  Each eps
+    is decided, in this order:
 
     1. winner: x* = argmin P and phi = (0, v*), v* the best v of d_box
        (`_box_dual_winner`), pass `is_eps_subgradient` on both sides; both
@@ -457,8 +458,9 @@ def check_bui_condition(
         raise ValueError("the eps list must not be empty")
     if any(not eps >= 0 for eps in eps_list):
         raise ValueError("eps values must be >= 0")
-    sub = inst.phi.symmetric_subclass()
-    v_star, upper = _box_dual_winner(inst, sub)
+    program = _box_dual(inst)
+    sub = program.phi_class
+    v_star, upper = _box_dual_winner(program)
     val_p, x_star = inst.primal
     winner = Elementary(0.0, v_star, 0.0)
     half_gap, none_over = NEG_INF, None
@@ -473,7 +475,7 @@ def check_bui_condition(
             "v_max": v_max,
             "half_gap": half_gap,
         }
-    search, per = _grid_search(inst, sub, tol), []
+    search, per = _grid_search(inst, program, tol), []
     for eps in eps_list:
         if _is_pair_witness(inst, x_star, winner, eps, tol):
             per.append(EpsWitness(eps, True, x_star, winner, True, "winner"))

@@ -5,10 +5,11 @@ An elementary phi is a subgradient of f at x_bar when
     f(x) - f(x_bar) >= phi(x) - phi(x_bar)    for all x,
 
 with slack eps in the eps-subgradient variant.  The quantifier runs over the
-working box (exactly, piece by piece, for piecewise quadratics; on the grid
-for tabulated functions).  The dual-side membership x_bar in the
-subdifferential of f* at phi_bar quantifies over the truncated class instead,
-so its verdict carries "no violation found" semantics.
+working box: each test is a sup of f restricted to it (`restricted_to`),
+exact piece by piece for piecewise quadratics and on the grid for tabulated
+functions.  The dual-side membership x_bar in the subdifferential of f* at
+phi_bar quantifies over the truncated class instead, so its verdict carries
+"no violation found" semantics.
 
 Constants cancel on both sides of every inequality here, which is why all
 class sweeps can fix c = 0.
@@ -76,7 +77,7 @@ def is_eps_subgradient(
     x_bar = as_point(x_bar)
     fx = _dom_value(f, x_bar)
     shift = fx - phi(x_bar) - eps
-    worst, wit = f.sup_quadratic_offset(-phi.a, phi.v, phi.c + shift, box)
+    worst, wit = f.restricted_to(box).sup_quadratic_offset(-phi.a, phi.v, phi.c + shift, box)
     holds = worst <= tol
     return SubgradientCertificate(
         holds=holds,
@@ -96,14 +97,14 @@ def eps_subgradient_via_conjugate(
 ) -> bool:
     """The conjugate-side test: f(x_bar) + f*(phi) <= phi(x_bar) + eps.
 
-    The conjugate is evaluated over the working box so that the quantifier
-    matches `is_eps_subgradient`; the two routes must agree.
+    The conjugate is that of f restricted to the working box, so that the
+    quantifier matches `is_eps_subgradient`; the two routes must agree.
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
     x_bar = as_point(x_bar)
     fx = _dom_value(f, x_bar)
-    fstar = phi_conjugate(f, phi, box, restrict_to_box=True).value
+    fstar = phi_conjugate(f.restricted_to(box), phi, box).value
     if fstar == INF:
         return False
     return fstar + fx - phi(x_bar) - eps <= tol

@@ -26,7 +26,7 @@ from phidual.conjugation import _sweep_and_refine
 from phidual.core import BatchObjective, Point, extremum_on_box
 from phidual.duality import objective_values
 from phidual.functions import CLOSED_FORM, UnsupportedClassError, values_on_grid
-from phidual.gap import BuiConditionResult, EpsWitness, _pair_margins
+from phidual.gap import BuiConditionResult, EpsWitness
 from phidual.subdifferential import is_eps_subgradient
 
 INF = math.inf
@@ -273,6 +273,14 @@ def pointwise_halving_search(
     return sign * best_v, best_p
 
 
+def box_margins(f: ProperFunction, box: BoxDomain, vs: np.ndarray, sign: float):
+    """(inf over the box of f(x) - sign*<v, x>, an attaining point) per row
+    of vs, from the sups of f restricted to the box."""
+    f_box = f.restricted_to(box)
+    r, x = f_box.sup_quadratic_offset_many(np.zeros(len(vs)), sign * vs, 0.0, box, points=True)
+    return -r, x
+
+
 def grid_search_bui_condition(
     inst: ProblemInstance,
     eps_list: Sequence[float] = (1.0, 0.1, 0.01, 0.001),
@@ -301,8 +309,8 @@ def grid_search_bui_condition(
         """v, g - <v, x>, inf(g - <v, .>), f + <v, x>, inf(f + <v, .>) per row."""
         vs = sub.split_params(rows)[1]
         vx = vs @ pts.T  # (Nv, M)
-        m_g = _pair_margins(inst.g, inst.box, vs, +1.0)[:, None]
-        m_f = _pair_margins(inst.f, inst.box, vs, -1.0)[:, None]
+        m_g = box_margins(inst.g, inst.box, vs, +1.0)[0][:, None]
+        m_f = box_margins(inst.f, inst.box, vs, -1.0)[0][:, None]
         return vs, gv[None, :] - vx, m_g, fv[None, :] + vx, m_f
 
     def first_hit(m: tuple, eps: float):
@@ -374,7 +382,7 @@ def dense_conjugate_table(f: ProperFunction, phi_class: PhiClass, box: BoxDomain
     sign = 1.0 if side == "right" else -1.0
     qa, qb = -sign * a, sign * v
     if f.tabulated is None:
-        return f.sup_quadratic_offset_many(qa, qb, 0.0, box, restrict=False)
+        return f.sup_quadratic_offset_many(qa, qb, 0.0, box)
     points = box.grid().points
     hv = f.tabulated.values(points)
     out = np.empty(len(qa))
@@ -396,7 +404,7 @@ def dense_biconjugate_on_grid(
         eparams = np.array([phi_class.params_of(p) for p in extra_phis], dtype=float)
         eparams = eparams.reshape(len(extra_phis), phi_class.n_params)
         ea, ev = phi_class.split_params(eparams)
-        efstar = f.sup_quadratic_offset_many(-ea, ev, 0.0, box, restrict=False)
+        efstar = f.sup_quadratic_offset_many(-ea, ev, 0.0, box)
         params = np.vstack([params, eparams])
         fstar = np.concatenate([fstar, efstar])
     a, v = phi_class.split_params(params)

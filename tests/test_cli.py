@@ -111,6 +111,27 @@ def test_cli_dual_report_bad_instance_exits_1(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_cli_missing_instance_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert main(["dual-report", "--instance", path.as_posix()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "absent.json" in err and "Traceback" not in err
+
+
+def test_cli_unreadable_instance_file_exits_1(tmp_path, capsys):
+    # a directory cannot be read as a file, whoever runs the test
+    assert main(["dual-report", "--instance", tmp_path.as_posix()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and tmp_path.name in err
+
+
+def test_cli_unwritable_out_path_exits_1(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["dual-report", "--catalog", "kkt-example", "--out", out.as_posix()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "report.json" in err and not out.exists()
+
+
 def test_cli_rejects_nan_in_table(tmp_path, capsys):
     table = [0.0] * 2001
     table[7] = math.nan  # json.dumps writes the NaN literal json.loads accepts

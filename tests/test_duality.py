@@ -267,7 +267,7 @@ def test_general_coupling_conjugate_with_distinct_pair():
     head, _ = inst.f.piecewise.sup_quadratic_offset(
         -(phi.a - psi.a), phi.v[0] - psi.v[0], phi.c - psi.c
     )
-    factored = head + phi_conjugate(inst.g, psi, box, restrict_to_box=True).value
+    factored = head + phi_conjugate(inst.g.restricted_to(box), psi, box).value
     assert abs(head - 0.25) < 1e-12
     assert abs(direct - factored) < 1e-9
 

@@ -1,11 +1,13 @@
 """Both function representations honour the one interface the library uses.
 
-`sup_quadratic_offset` restricted to the box must give, bit for bit, what
-row i of `sup_quadratic_offset_many` gives for the same coefficients, and
-`shifted(a)` must subtract a*|x|^2 from the values.  Unrestricted sups
-differ by design: exact sups over the whole line for piecewise quadratics,
-grid maxima on the box for tables, which are +inf outside their box; the
-single sup is the batch row either way, with its attaining point.
+`sup_quadratic_offset` of the function restricted to the box must give,
+bit for bit, what row i of `sup_quadratic_offset_many` gives for the same
+coefficients, `shifted(a)` must subtract a*|x|^2 from the values, and
+`restricted_to(box)` must be the function on the box and +inf outside it.
+Sups of the function itself differ by design: exact sups over the whole
+line for piecewise quadratics, grid maxima on the box for tables, which
+are +inf outside their box; the single sup is the batch row either way,
+with its attaining point.
 """
 
 import math
@@ -80,6 +82,7 @@ def _rows(dim: int, n: int = 40):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_restricted_sup_agrees_bitwise_with_its_many_row(name):
     f, box, method = CASES[name]
+    f = f.restricted_to(box)
     assert f.method == method and f.rep.method == method
     qa, qb, qc = _rows(f.dim)
     many = f.sup_quadratic_offset_many(qa, qb, qc, box)
@@ -111,8 +114,8 @@ def test_unrestricted_sup_is_at_least_the_box_sup():
         qa, qb, qc = _rows(f.dim, 10)
         for i in range(len(qa)):
             args = (float(qa[i]), tuple(qb[i]), float(qc[i]), box)
-            inside, _ = f.sup_quadratic_offset(*args)
-            whole, _ = f.sup_quadratic_offset(*args, restrict=False)
+            inside, _ = f.restricted_to(box).sup_quadratic_offset(*args)
+            whole, _ = f.sup_quadratic_offset(*args)
             assert whole >= inside, (name, i)
 
 
@@ -120,28 +123,30 @@ def test_unrestricted_sup_is_at_least_the_box_sup():
 def test_unrestricted_many_rows(name):
     f, box, method = CASES[name]
     qa, qb, qc = _rows(f.dim, 10)
-    whole, at = f.sup_quadratic_offset_many(qa, qb, qc, box, restrict=False, points=True)
+    whole, at = f.sup_quadratic_offset_many(qa, qb, qc, box, points=True)
     if method == GRID_ORACLE:
         # a table is known on its grid only: the box rows, bit for bit
-        inside = f.sup_quadratic_offset_many(qa, qb, qc, box)
+        inside = f.restricted_to(box).sup_quadratic_offset_many(qa, qb, qc, box)
         assert whole.tobytes() == inside.tobytes()
     for i in range(len(qa)):
-        v, p = f.sup_quadratic_offset(float(qa[i]), tuple(qb[i]), float(qc[i]), box, restrict=False)
+        v, p = f.sup_quadratic_offset(float(qa[i]), tuple(qb[i]), float(qc[i]), box)
         assert np.float64(v).tobytes() == whole[i].tobytes(), (name, i, v, whole[i])
         want = np.full(f.dim, np.nan) if p is None else np.array(p)
         assert want.tobytes() == at[i].tobytes(), (name, i, p, at[i])
 
 
-def _cell(f, qa: float, qb, qc: float, x, box, restrict: bool) -> float:
-    """The value `sup_quadratic_offset_many` gives a row at its attaining
-    point x: for a table the grid cell qa*|x|^2 + <qb, x> - h(x), plus qc;
-    for pieces the greatest candidate at x of a piece holding it (the end
-    value (A*x + B)*x + C, the vertex value C - B*B/(4A), C on a flat row)."""
+def _cell(f, qa: float, qb, qc: float, x, box, restricted: bool) -> float:
+    """The value `sup_quadratic_offset_many` of f (of f restricted to the
+    box when `restricted`) gives a row at its attaining point x: for a table
+    the grid cell qa*|x|^2 + <qb, x> - h(x), plus qc; for pieces, each
+    clipped to the box when `restricted`, the greatest candidate at x of a
+    piece holding it (the end value (A*x + B)*x + C, the vertex value
+    C - B*B/(4A), C on a flat row)."""
     x = np.asarray(x, dtype=float)
     if f.method == GRID_ORACLE:
         return float(quadratic_rows(np.array([qa]), np.array([qb]), x[None])[0, 0] - f.values(x[None])[0] + qc)
     (x,), (qb,) = x, qb
-    blo, bhi = (box.lower[0], box.upper[0]) if restrict else (-math.inf, math.inf)
+    blo, bhi = (box.lower[0], box.upper[0]) if restricted else (-math.inf, math.inf)
     cells = []
     for p in f.rep.pieces:
         lo, hi = max(p.lo, blo), min(p.hi, bhi)
@@ -157,19 +162,20 @@ def _cell(f, qa: float, qb, qc: float, x, box, restrict: bool) -> float:
     return max(cells)
 
 
-@pytest.mark.parametrize("restrict", [True, False])
+@pytest.mark.parametrize("restricted", [True, False])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_many_attaining_points_reproduce_their_rows(name, restrict):
+def test_many_attaining_points_reproduce_their_rows(name, restricted):
     f, box, _ = CASES[name]
     qa, qb, qc = _rows(f.dim)
-    values = f.sup_quadratic_offset_many(qa, qb, qc, box, restrict)
-    got, points = f.sup_quadratic_offset_many(qa, qb, qc, box, restrict, points=True)
+    g = f.restricted_to(box) if restricted else f
+    values = g.sup_quadratic_offset_many(qa, qb, qc, box)
+    got, points = g.sup_quadratic_offset_many(qa, qb, qc, box, points=True)
     assert got.tobytes() == values.tobytes() and points.shape == (len(qa), f.dim)
     for i in range(len(qa)):
         if not math.isfinite(values[i]):
             assert np.all(np.isnan(points[i])), (name, i)
             continue
-        cell = _cell(f, qa[i], qb[i], qc[i], points[i], box, restrict)
+        cell = _cell(f, qa[i], qb[i], qc[i], points[i], box, restricted)
         assert np.float64(cell).tobytes() == values[i].tobytes(), (name, i, cell, values[i])
 
 
@@ -187,9 +193,39 @@ def test_a_table_never_calls_its_evaluator_outside_the_box():
     assert tab.values(pts).tolist() == want
     shifted = tab.shifted(0.5)
     assert shifted((4.0,)) == math.inf and shifted.values(pts)[[0, 5]].tolist() == [math.inf] * 2
-    assert tab.sup_quadratic_offset(1.0, (2.0,), 0.0, BOX_1D, restrict=False) == ref.sup_quadratic_offset(
-        1.0, (2.0,), 0.0, BOX_1D
-    )
+    args = (1.0, (2.0,), 0.0, BOX_1D)
+    assert tab.sup_quadratic_offset(*args) == ref.restricted_to(BOX_1D).sup_quadratic_offset(*args)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_restricted_function_is_f_on_the_box_and_inf_outside(name):
+    f, box, _ = CASES[name]
+    boxes = [box]
+    if f.piecewise is not None:
+        # a box that cuts the first piece and ends on the shared endpoint 0.5
+        boxes.append(box1d(-1.0, 0.5, 11))
+    rng = np.random.default_rng(3)
+    for b in boxes:
+        width = np.array(b.upper) - np.array(b.lower)
+        pts = np.vstack([
+            b.grid().points,
+            rng.uniform(np.array(b.lower) - width, np.array(b.upper) + width, (300, f.dim)),
+            [b.lower, b.upper],
+        ])
+        inside = np.all((pts >= b.lower) & (pts <= b.upper), axis=1)
+        r = f.restricted_to(b)
+        assert r.label == f.label and r.method == f.method
+        want = np.where(inside, f.values(pts), math.inf)
+        assert r.values(pts).tobytes() == want.tobytes(), (name, b)
+        assert [r(tuple(p)) for p in pts] == want.tolist(), (name, b)
+
+
+def test_restricting_pieces_to_a_box_they_miss_raises():
+    f = ProperFunction.from_piecewise(pieces((-2.0, -1.0, 1.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0, 1.0)))
+    with pytest.raises(ValueError):
+        f.restricted_to(box1d(0.5, 1.0, 5))
+    # touching the domain at one point keeps that point
+    assert f.restricted_to(box1d(0.0, 1.0, 5)).values(np.array([[0.0], [0.5]])).tolist() == [1.0, math.inf]
 
 
 @pytest.mark.parametrize("kind", ["lsc-quadratic", "affine"])

@@ -15,6 +15,7 @@ import importlib.util
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from phidual import (
@@ -25,11 +26,13 @@ from phidual import (
     get_entry,
     is_eps_subgradient,
     proper_piecewise,
+    catalog_names,
     theorem_bridge_report,
 )
+from phidual.gap import _box_dual
 from phidual.serialize import parse_instance
 
-from oracles import box1d, grid_search_bui_condition, table_2d_doc
+from oracles import box1d, box_margins, grid_search_bui_condition, table_2d_doc
 
 INF = math.inf
 GEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
@@ -77,6 +80,32 @@ def test_flags_agree_with_the_grid_search_on_seeded_instances():
         assert _flags(res) == _flags(ref), name
         decided.update(w.decided_by for w in res.per_eps)
     assert decided == {"winner", "bound", "search"}
+
+
+def test_box_dual_program_is_the_sum_of_the_box_margins():
+    # d_box and its supergradient at the subclass's grid rows, from the
+    # program's cached tables and from its batch slopes, against the two
+    # margins of f and g restricted to the box, bit for bit
+    gen, insts = _gen(), [(name, get_entry(name).build()) for name in catalog_names()]
+    for seed in range(1, 4):
+        for spec in gen.instances_1d(seed, 8):
+            for suffix, doc in (
+                ("", gen.instance_doc_1d(spec["f"], spec["g"], spec["kind"])),
+                ("#twin", gen.twin_doc_1d(spec["f"], spec["g"], gen.PHI_1D[spec["kind"]])),
+            ):
+                insts.append((f"seed {seed} {spec['name']}{suffix}", parse_instance(doc)))
+    for name, inst in insts:
+        sub = inst.phi.symmetric_subclass()
+        params = sub.param_grid()
+        vs = sub.split_params(params)[1]
+        m_f, x_f = box_margins(inst.f, inst.box, vs, -1.0)
+        m_g, x_g = box_margins(inst.g, inst.box, vs, +1.0)
+        program = _box_dual(inst)
+        assert program.sweep().tobytes() == (m_f + m_g).tobytes(), name
+        if inst.phi.dim == 1:
+            d, slope = program.slopes(params)
+            assert d.tobytes() == (m_f + m_g).tobytes(), name
+            assert slope.tobytes() == (x_f - x_g)[:, 0].tobytes(), name
 
 
 def test_bound_negatives_have_no_witness_on_a_finer_grid():
